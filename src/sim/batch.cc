@@ -43,7 +43,6 @@ struct VoteStats
     std::size_t accepted = 0;
     std::size_t rejected = 0;
     std::size_t retirements = 0;
-    std::size_t spills = 0;
 
     ~VoteStats() { flush(); }
 
@@ -59,12 +58,9 @@ struct VoteStats
         static telemetry::Counter &laneRetirements =
             telemetry::Registry::shared().counter(
                 "ark.sim.lane_retirements");
-        static telemetry::Counter &scalarSpills =
-            telemetry::Registry::shared().counter("ark.sim.spills");
         acceptedVotes.add(accepted);
         rejectedVotes.add(rejected);
         laneRetirements.add(retirements);
-        scalarSpills.add(spills);
     }
 };
 
@@ -336,9 +332,9 @@ runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
  * voting; the rest of the block integrates on. When enough lanes
  * retire that a narrower SoA width would hold the survivors, the
  * block compacts (state/slope columns are re-merged into a fresh
- * LaneTape of the smaller width); a single surviving lane spills to a
- * scalar continuation that reuses the exact sim.cc recurrence, so a
- * degenerate block costs no lane overhead.
+ * LaneTape of the smaller width), down to a W=1 block for a lone
+ * survivor. A W=1 block steps exactly like any other block, so a
+ * one-member job is simply the narrowest case of this driver.
  *
  * Numerics: the shared grid makes trajectories tolerance-level
  * equivalent to scalar Dopri5 (every accepted step satisfied every
@@ -400,8 +396,8 @@ class LaneDopri5
         // stats_'s own destructor flushes to the registry.
     }
 
-    /** True when any block (or the scalar spill) ran a tier-5
-     *  kernel — drives the run ledger's tier attribution. */
+    /** True when any block ran a tier-5 kernel — drives the run
+     *  ledger's tier attribution. */
     bool usedJit() const { return usedJit_; }
 
     std::vector<SimResult>
@@ -411,19 +407,8 @@ class LaneDopri5
         // the initial record; after a compaction the slopes carry
         // over and nothing is re-recorded.
         bool initial = true;
-        while (!active_.empty() && t_ < end_) {
-            if (active_.size() == 1) {
-                spill(initial);
-                return results_;
-            }
-            if (runBlock(initial) == Status::Done)
-                return results_;
+        while (!active_.empty() && runBlock(initial) == Status::Compact)
             initial = false;
-        }
-        // Degenerate ranges (t0 ~ t1): record the initial sample only.
-        if (!active_.empty()) {
-            finishActive(initial);
-        }
         return results_;
     }
 
@@ -557,8 +542,7 @@ class LaneDopri5
             }
             if (aliveCount == 0)
                 return Status::Done;
-            if (budgetRetired &&
-                (aliveCount == 1 || aliveCount <= W / 2)) {
+            if (budgetRetired && aliveCount <= W / 2) {
                 compactInto(state, k1, alive, W);
                 return Status::Compact;
             }
@@ -696,13 +680,12 @@ class LaneDopri5
             }
 
             // Too few survivors to pay for this width: extract the
-            // live columns and let the caller rebuild (or spill) —
-            // but only while integration work remains. Compacting on
-            // the very step that reached t1 would skip the forced
-            // final record below and end the surviving trajectories
-            // on the last gated sample instead of t1.
-            if (aliveCount < L && t_ < end_ &&
-                (aliveCount == 1 || aliveCount <= W / 2)) {
+            // live columns and let the caller rebuild narrower — but
+            // only while integration work remains. Compacting on the
+            // very step that reached t1 would skip the forced final
+            // record below and end the surviving trajectories on the
+            // last gated sample instead of t1.
+            if (aliveCount < L && t_ < end_ && aliveCount <= W / 2) {
                 compactInto(state, k1, alive, W);
                 return Status::Compact;
             }
@@ -753,199 +736,6 @@ class LaneDopri5
         active_ = std::move(survivors);
     }
 
-    /**
-     * Scalar continuation of the last surviving lane: the sim.cc
-     * Dopri5 recurrence (same tableau, same controller, same
-     * divergence handling) resumed from the block's shared (t, h)
-     * with the lane's own FSAL slope and PI history.
-     */
-    void
-    spill(bool initial)
-    {
-        using detail::Dopri5;
-        ++stats_.spills;
-        telemetry::ScopedSpan span("ark.sim.scalar_spill");
-        Lane lane = std::move(active_.front());
-        active_.clear();
-        const expr::FusedTape &tape = *tapes_[lane.member];
-        SimResult &r = results_[lane.member];
-        const std::size_t n = n_;
-
-        std::vector<double> state = std::move(lane.state);
-        std::vector<double> k1 = std::move(lane.k1);
-        k1.resize(n);
-        std::vector<double> k2(n), k3(n), k4(n), k5(n), k6(n), k7(n);
-        std::vector<double> tmp(n), next(n);
-        std::vector<double> regs(
-            static_cast<std::size_t>(tape.numRegs()));
-        double prevErr = lane.prevErr;
-
-        // Tier-5 on the spill too: a width-1 broadcast of the lane's
-        // program. No TapeNan replay here — the interpreted baseline
-        // is FusedTape::evalInto, which has no poison site.
-        std::optional<expr::LaneTape> jitTape;
-        expr::JitKernelPtr jitKernel;
-        if (jitOn_) {
-            jitTape = expr::LaneTape::broadcast(tape, 1);
-            jitKernel = engine::jitKernel(*jitTape);
-            if (jitKernel != nullptr)
-                usedJit_ = true;
-        }
-        auto evalRhs = [&](const double *s, double t, double *out) {
-            if (jitKernel != nullptr) {
-                jitKernel->call(s, t, out,
-                                jitTape->constants().data());
-                return;
-            }
-            tape.evalInto(s, t, out, regs.data());
-        };
-
-        auto record = [&](double t, bool force) {
-            if (!recordGateOpen(t, force))
-                return;
-            r.trajectory.addSample(t, state, &k1);
-            lastRecord_ = t;
-        };
-
-        if (initial) {
-            evalRhs(state.data(), t_, k1.data());
-            record(t_, true);
-        }
-
-        while (t_ < end_) {
-            h_ = std::min(h_, t1_ - t_);
-            h_ = std::min(h_, hMax_);
-            if (h_ < 1e-18 * std::max(1.0, std::fabs(t_)))
-                throw SimError(cat("step size collapsed at t=", t_));
-            if (steps_ + lane.rejected >= options_.maxSteps) {
-                r.steps = steps_;
-                r.rejectedSteps = lane.rejected;
-                r.failure = detail::budgetFailure(t_, steps_);
-                laneDone_(1);
-                return;
-            }
-            if (stop_.stop_requested() || deadlinePassed(deadline_)) {
-                r.steps = steps_;
-                r.rejectedSteps = lane.rejected;
-                r.failure = stop_.stop_requested()
-                                ? detail::cancelledFailure(t_, steps_)
-                                : detail::deadlineFailure(t_, steps_);
-                laneDone_(1);
-                return;
-            }
-
-            const double h = h_;
-            for (std::size_t i = 0; i < n; ++i)
-                tmp[i] = state[i] + h * Dopri5::a21 * k1[i];
-            evalRhs(tmp.data(), t_ + Dopri5::c2 * h, k2.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                tmp[i] = state[i] +
-                         h * (Dopri5::a31 * k1[i] + Dopri5::a32 * k2[i]);
-            }
-            evalRhs(tmp.data(), t_ + Dopri5::c3 * h, k3.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                tmp[i] = state[i] +
-                         h * (Dopri5::a41 * k1[i] + Dopri5::a42 * k2[i] +
-                              Dopri5::a43 * k3[i]);
-            }
-            evalRhs(tmp.data(), t_ + Dopri5::c4 * h, k4.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                tmp[i] = state[i] +
-                         h * (Dopri5::a51 * k1[i] + Dopri5::a52 * k2[i] +
-                              Dopri5::a53 * k3[i] + Dopri5::a54 * k4[i]);
-            }
-            evalRhs(tmp.data(), t_ + Dopri5::c5 * h, k5.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                tmp[i] = state[i] +
-                         h * (Dopri5::a61 * k1[i] + Dopri5::a62 * k2[i] +
-                              Dopri5::a63 * k3[i] + Dopri5::a64 * k4[i] +
-                              Dopri5::a65 * k5[i]);
-            }
-            evalRhs(tmp.data(), t_ + h, k6.data());
-            for (std::size_t i = 0; i < n; ++i) {
-                next[i] = state[i] +
-                          h * (Dopri5::b1 * k1[i] + Dopri5::b3 * k3[i] +
-                               Dopri5::b4 * k4[i] + Dopri5::b5 * k5[i] +
-                               Dopri5::b6 * k6[i]);
-            }
-            evalRhs(next.data(), t_ + h, k7.data());
-
-            double errNorm = 0.0;
-            for (std::size_t i = 0; i < n; ++i) {
-                double y4 = state[i] +
-                            h * (Dopri5::e1 * k1[i] + Dopri5::e3 * k3[i] +
-                                 Dopri5::e4 * k4[i] + Dopri5::e5 * k5[i] +
-                                 Dopri5::e6 * k6[i] + Dopri5::e7 * k7[i]);
-                double scale = options_.absTol +
-                               options_.relTol *
-                                   std::max(std::fabs(state[i]),
-                                            std::fabs(next[i]));
-                double e = (next[i] - y4) / scale;
-                errNorm += e * e;
-            }
-            errNorm = std::sqrt(errNorm / static_cast<double>(n));
-
-            if (!std::isfinite(errNorm)) {
-                int bad = firstNonfinite(next.data(), n);
-                if (bad < 0)
-                    bad = firstNonfinite(k7.data(), n);
-                r.steps = steps_;
-                r.rejectedSteps = lane.rejected;
-                r.failure = detail::divergedFailure(*systems_[lane.member],
-                                                    bad, t_, steps_);
-                laneDone_(1);
-                return;
-            }
-
-            if (errNorm <= 1.0) {
-                t_ += h;
-                ++steps_;
-                state.swap(next);
-                std::swap(k1, k7);
-                if (int bad = firstNonfinite(state.data(), n); bad >= 0) {
-                    r.steps = steps_;
-                    r.rejectedSteps = lane.rejected;
-                    r.failure = detail::divergedFailure(
-                        *systems_[lane.member], bad, t_, steps_);
-                    laneDone_(1);
-                    return;
-                }
-                record(t_, false);
-                h_ *= Dopri5::acceptFactor(errNorm, prevErr);
-                prevErr = errNorm;
-            } else {
-                ++rejectedShared_;
-                ++lane.rejected;
-                h_ *= Dopri5::rejectFactor(errNorm);
-            }
-        }
-        record(t_, true);
-        r.steps = steps_;
-        r.rejectedSteps = lane.rejected;
-        laneDone_(1);
-    }
-
-    /** Degenerate (t0 ~ t1) finish: record the initial state only. */
-    void
-    finishActive(bool initial)
-    {
-        for (Lane &lane : active_) {
-            SimResult &r = results_[lane.member];
-            if (initial) {
-                lane.k1.resize(n_);
-                std::vector<double> regs(static_cast<std::size_t>(
-                    tapes_[lane.member]->numRegs()));
-                tapes_[lane.member]->evalInto(lane.state.data(), t_,
-                                              lane.k1.data(), regs.data());
-                r.trajectory.addSample(t_, lane.state, &lane.k1);
-            }
-            r.steps = steps_;
-            r.rejectedSteps = lane.rejected;
-        }
-        laneDone_(active_.size());
-        active_.clear();
-    }
-
     const std::vector<const expr::FusedTape *> &tapes_;
     const std::vector<const compiler::OdeSystem *> &systems_;
     const SimOptions &options_;
@@ -953,7 +743,7 @@ class LaneDopri5
     const Deadline &deadline_;
     const std::function<void(std::size_t)> &laneDone_;
     const bool jitOn_;     ///< Try tier-5 kernels per block.
-    bool usedJit_ = false; ///< Any block/spill actually ran one.
+    bool usedJit_ = false; ///< Any block actually ran one.
 
     const std::size_t n_;  ///< State variables per instance.
     const double t1_;
@@ -969,13 +759,6 @@ class LaneDopri5
     VoteStats stats_;                ///< Registry tallies, flushed once.
     std::vector<Lane> active_;
     std::vector<SimResult> results_;
-};
-
-/** One pool job: a lane block (2+ members) or a scalar instance. */
-struct Job
-{
-    std::vector<std::size_t> members;
-    bool lane = false;
 };
 
 } // namespace
@@ -1255,17 +1038,15 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         }
         classes.push_back({i});
     }
-    std::vector<Job> jobs;
+    // One pool job per block: the members' instance indices.
+    std::vector<std::vector<std::size_t>> jobs;
     for (const std::vector<std::size_t> &cls : classes) {
         for (std::size_t base = 0; base < cls.size();
              base += expr::LaneTape::kMaxLanes) {
             std::size_t blockSize = std::min(
                 expr::LaneTape::kMaxLanes, cls.size() - base);
-            Job job;
-            job.lane = blockSize >= 2;
-            for (std::size_t k = 0; k < blockSize; ++k)
-                job.members.push_back(cls[base + k]);
-            jobs.push_back(std::move(job));
+            jobs.emplace_back(cls.begin() + base,
+                              cls.begin() + base + blockSize);
         }
     }
 
@@ -1303,8 +1084,8 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         };
         ensembles.add();
         instances.add(count);
-        for (const Job &job : jobs) {
-            const std::size_t lanes = job.members.size();
+        for (const std::vector<std::size_t> &members : jobs) {
+            const std::size_t lanes = members.size();
             std::size_t width = 1, widthClass = 0;
             while (width < lanes) {
                 width *= 2;
@@ -1339,7 +1120,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     };
 
     auto runJob = [&](std::size_t jobIndex) {
-        const Job &job = jobs[jobIndex];
+        const std::vector<std::size_t> &members = jobs[jobIndex];
         std::size_t reported = 0;
         std::function<void(std::size_t)> laneDone =
             [&](std::size_t done) {
@@ -1352,23 +1133,23 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 throw SimError("fault injection: worker task fault");
             if (options.stop.stop_requested()) {
                 // Skipped before starting: no samples at all.
-                for (std::size_t member : job.members)
+                for (std::size_t member : members)
                     results[member] = cancelledResult(t0);
-                laneDone(job.members.size());
+                laneDone(members.size());
             } else if (deadlinePassed(options.deadline)) {
-                for (std::size_t member : job.members)
+                for (std::size_t member : members)
                     results[member] = deadlineResult(t0);
-                laneDone(job.members.size());
-            } else if (job.lane) {
+                laneDone(members.size());
+            } else {
                 telemetry::ScopedSpan span("ark.sim.lane_block",
-                                           job.members.size());
+                                           members.size());
                 std::vector<const expr::FusedTape *> tapes;
                 std::vector<const std::vector<double> *> inits;
                 std::vector<const compiler::OdeSystem *> blockSystems;
-                tapes.reserve(job.members.size());
-                inits.reserve(job.members.size());
-                blockSystems.reserve(job.members.size());
-                for (std::size_t member : job.members) {
+                tapes.reserve(members.size());
+                inits.reserve(members.size());
+                blockSystems.reserve(members.size());
+                for (std::size_t member : members) {
                     tapes.push_back(
                         &systemOf(member).rhsTape(fma, reassoc));
                     inits.push_back(&initialOf(member));
@@ -1393,30 +1174,8 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                     block = driver.run();
                     jitUsed[jobIndex] = driver.usedJit();
                 }
-                for (std::size_t k = 0; k < job.members.size(); ++k)
-                    results[job.members[k]] = std::move(block[k]);
-            } else {
-                telemetry::ScopedSpan span("ark.sim.scalar");
-                std::size_t member = job.members.front();
-                // Tier-5 for the scalar path: a width-1 broadcast of
-                // the instance's program, handed to the serial driver
-                // as a drop-in RHS (null means interpret as before).
-                std::optional<expr::JitScalarRhs> jitRhs;
-                if (jitOn) {
-                    expr::LaneTape tape = expr::LaneTape::broadcast(
-                        systemOf(member).rhsTape(fma, reassoc), 1);
-                    expr::JitKernelPtr kernel = engine::jitKernel(tape);
-                    if (kernel != nullptr) {
-                        jitRhs.emplace(expr::JitScalarRhs{
-                            std::move(tape), std::move(kernel)});
-                    }
-                }
-                jitUsed[jobIndex] = jitRhs.has_value();
-                results[member] = detail::simulateWithStop(
-                    systemOf(member), initialOf(member), t0, t1,
-                    options.sim, options.stop, options.deadline,
-                    jitRhs.has_value() ? &*jitRhs : nullptr);
-                laneDone(1);
+                for (std::size_t k = 0; k < members.size(); ++k)
+                    results[members[k]] = std::move(block[k]);
             }
         } catch (...) {
             if (options.structuredFaults) {
@@ -1424,20 +1183,20 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 // the retry supervisor treats it as data, and the
                 // batch as a whole no longer throws for it.
                 std::string what = currentExceptionMessage();
-                for (std::size_t member : job.members) {
+                for (std::size_t member : members) {
                     SimResult faulted;
                     faulted.failure = detail::faultFailure(t0, what);
                     results[member] = std::move(faulted);
                 }
             } else {
-                for (std::size_t member : job.members)
+                for (std::size_t member : members)
                     errors[member] = std::current_exception();
             }
         }
         // A thrown block (step collapse, budget) still accounts for
         // every member so `completed` reaches `total` exactly once.
-        if (reported < job.members.size())
-            instanceDone(job.members.size() - reported);
+        if (reported < members.size())
+            instanceDone(members.size() - reported);
     };
 
     unsigned requested = options.numThreads;
@@ -1462,11 +1221,11 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         // result to describe and are skipped.
         for (std::size_t jobIndex = 0; jobIndex < jobs.size();
              ++jobIndex) {
-            const Job &job = jobs[jobIndex];
+            const std::vector<std::size_t> &members = jobs[jobIndex];
             std::size_t width = 1;
-            while (width < job.members.size())
+            while (width < members.size())
                 width *= 2;
-            for (std::size_t member : job.members) {
+            for (std::size_t member : members) {
                 if (errors[member])
                     continue;
                 const SimResult &result = results[member];
@@ -1477,10 +1236,11 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 record.tier =
                     jitUsed[jobIndex]
                         ? telemetry::RunLedger::Tier::Jit
-                        : (job.lane ? telemetry::RunLedger::Tier::Lane
-                                    : telemetry::RunLedger::Tier::Scalar);
-                record.laneWidth = job.lane ? width : 1;
-                record.lanes = job.members.size();
+                        : (members.size() > 1
+                               ? telemetry::RunLedger::Tier::Lane
+                               : telemetry::RunLedger::Tier::Scalar);
+                record.laneWidth = width;
+                record.lanes = members.size();
                 record.blockId = jobIndex;
                 record.stepsAccepted = result.steps;
                 record.stepsRejected = result.rejectedSteps;
