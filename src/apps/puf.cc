@@ -254,8 +254,8 @@ TlnPuf::responseMatrix(const std::vector<std::uint32_t> &challenges,
     // ONE ensemble dispatch. Chips of one challenge share a program
     // structure and lane-batch; distinct challenges form their own
     // lane groups within the same dispatch. Nominal devices are
-    // structural singletons (ideal E edges), so they integrate on
-    // the scalar path — bit-identical to a standalone waveform()
+    // structural singletons (ideal E edges), so they integrate as
+    // one-member blocks — bit-identical to a standalone waveform()
     // call, which is what publishes them below.
     std::vector<engine::SystemPtr> systems;
     systems.reserve(distinct.size() * numChips);

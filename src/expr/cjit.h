@@ -20,6 +20,11 @@
  * tests/jit_test.cc across random TLN/OBC/CNN programs at every
  * width, with and without FMA contraction).
  *
+ * Every integration block requests its kernel the same way (sim.cc's
+ * block evaluator), so a single instance run by sim::simulate — a W=1
+ * block — and an 8-lane ensemble block take the same route to
+ * native code.
+ *
  * Kernels are pure functions of the tape *structure* (opcode stream,
  * width, register/output counts) — per-lane Const immediates arrive
  * through the `consts` argument at call time — so one compiled kernel
@@ -89,17 +94,6 @@ class JitKernel
 };
 
 using JitKernelPtr = std::shared_ptr<const JitKernel>;
-
-/**
- * Tier-5 bundle for scalar (non-lane) instances: a width-1 broadcast
- * of the system's FusedTape plus its compiled kernel. The integrator
- * drivers evaluate through the kernel when one is present.
- */
-struct JitScalarRhs
-{
-    LaneTape tape;
-    JitKernelPtr kernel;
-};
 
 /**
  * Whether the JIT tier should run, folding the ARK_JIT_FORCE

@@ -47,8 +47,12 @@
  * FusedTape is the third of five execution tiers (see sim/sim.h for
  * the full ladder): tree interpreter -> per-variable Tape -> fused
  * whole-system tape -> lane-parallel LaneTape -> JIT native kernels
- * (expr/cjit.h, compiled from the LaneTape program). The compiled
- * program (ops()) is the exchange format between the upper tiers:
+ * (expr/cjit.h, compiled from the LaneTape program). The integrators
+ * do not run it directly — every integration block, a single
+ * instance's W=1 block included, executes it as a LaneTape — but
+ * evalInto stays the per-instance RHS reference that the lane and JIT
+ * tiers are bit-identical to. The compiled program (ops()) is the
+ * exchange format between the upper tiers:
  * expr::LaneTape re-executes the exact instruction stream over a
  * structure-of-arrays block of instance states, with Const immediates
  * lifted into per-lane constant tables so ensembles that share the

@@ -7,9 +7,11 @@
  *
  * LaneTape is the fourth of five execution tiers (interpreter ->
  * per-variable Tape -> FusedTape -> LaneTape -> JIT native kernels,
- * expr/cjit.h): it re-executes a compiled FusedTape
- * program over a structure-of-arrays block of N instance states — one
- * instruction stream, W lanes wide. Each instruction's inner loop runs
+ * expr/cjit.h) and the one both integrators run: it re-executes a
+ * compiled FusedTape program over a structure-of-arrays block of N
+ * instance states — one instruction stream, W lanes wide. A single
+ * instance (sim::simulate, or a one-member ensemble job) is a W=1
+ * block. Each instruction's inner loop runs
  * lanewise over a compile-time width W in {1, 2, 4, 8} (runtime
  * dispatch picks the instantiation), so the per-instruction dispatch
  * cost is amortized W-fold and the lane loops autovectorize into SIMD
@@ -67,7 +69,7 @@ class LaneTape
      * stream, registers, and outputs; only Const immediates may
      * differ) into one lane-batched program with per-lane constant
      * tables. Returns nullopt when any stream diverges structurally —
-     * the caller falls back to scalar execution. N must be in
+     * such programs belong in separate blocks. N must be in
      * [1, kMaxLanes].
      */
     static std::optional<LaneTape>

@@ -3,17 +3,13 @@
 
 /**
  * @file
- * Dormand-Prince 5(4) coefficients and step-size control, shared by
- * the scalar adaptive driver (sim.cc) and the lane-synchronized batch
- * driver (batch.cc).
+ * Dormand-Prince 5(4) coefficients and step-size control for the
+ * lane-synchronized adaptive driver (sim.cc).
  *
- * Keeping the tableau and the PI controller formulas in one place is
- * a correctness requirement, not a convenience: the batch driver's
- * step voting takes the minimum of per-lane controller outputs, and
- * its spill path continues a lane with the scalar recurrence — both
- * only behave as documented (a lane block with one active lane steps
- * exactly like the scalar integrator) if every driver computes the
- * identical factor expression.
+ * The tableau and the PI controller formulas live in one place so the
+ * driver's step voting — the minimum of per-lane controller outputs —
+ * is the controller itself whenever one lane votes: a W=1 block steps
+ * exactly like any other block, and simulate() is that W=1 block.
  */
 
 #include <algorithm>

@@ -20,12 +20,11 @@
  *     equation, kept as the ablation path;
  *  3. fused whole-system tape (evalRhs / expr::FusedTape) — one
  *     program with cross-equation CSE fills all of dstate per pass;
- *     what simulate() drives;
- *  4. lane-parallel batch tape (expr::LaneTape + sim::BatchRunner,
- *     sim/batch.h) — the fused program executed over a
- *     structure-of-arrays block of up to 8 ensemble instances at
+ *     the program every integration block is built from;
+ *  4. lane-parallel block tape (expr::LaneTape) — the fused program
+ *     executed over a structure-of-arrays block of 1..8 instances at
  *     once, amortizing instruction dispatch and autovectorizing the
- *     lane loops;
+ *     lane loops; what both integrators drive;
  *  5. JIT native kernels (expr/cjit.h, SimOptions::jit) — the lane
  *     program lowered to straight-line C, compiled at runtime, and
  *     called through one function pointer per evaluation. Results
@@ -33,29 +32,30 @@
  *     order); any compile problem silently falls back to the
  *     interpreted tier.
  *
- * Tier 4 is selected automatically by simulateEnsemble for ensembles
- * whose instances share one program structure — one system with many
- * initial states, or distinct systems that differ only in constants
- * (per-chip mismatch) — under BOTH integrators:
+ * There is one RK4 driver and one Dopri5 driver, and both integrate a
+ * lane block. A single instance is a block of width 1: simulate()
+ * runs a one-member block on the calling thread, and simulateEnsemble
+ * (sim/batch.h) groups instances that share one program structure —
+ * one system with many initial states, or distinct systems that differ
+ * only in constants (per-chip mismatch) — into blocks of up to 8:
  *
- *  - Rk4 blocks run the lane-batched fixed-step driver on the shared
- *    time grid; every lane's trajectory is bit-identical to serial
- *    simulate() of that instance.
- *  - Dopri5 blocks run the lane-synchronized adaptive driver
- *    (sim/batch.h): all lanes advance on ONE shared step size chosen
+ *  - Rk4 blocks step every lane on the shared time grid; every lane's
+ *    trajectory is bit-identical to simulate() of that instance,
+ *    whatever the block width.
+ *  - Dopri5 blocks advance all lanes on ONE shared step size chosen
  *    by min-over-active-lanes of the PI controller ("step voting"),
  *    with per-lane error estimates and rejection masking. The shared
- *    grid means the step sequence differs from a per-instance scalar
- *    Dopri5 run, so batched adaptive results agree with serial
+ *    grid means a multi-lane block's step sequence differs from each
+ *    instance's own, so batched adaptive results agree with
  *    simulate() at tolerance level (each accepted step satisfies
  *    every lane's error test), NOT bitwise. They ARE bit-identical
  *    across thread counts, and EnsembleOptions::laneBatching = false
- *    restores the exact scalar path.
+ *    (one-member blocks) reproduces simulate() bit for bit.
  *
- * Structurally heterogeneous instances and singleton blocks fall back
- * to tier 3 per instance (bit-identical to serial simulate() for both
- * integrators). Both batch paths run on BatchRunner's persistent
- * worker pool and honor EnsembleOptions::progress/stop.
+ * Structurally heterogeneous instances land in separate blocks, a
+ * lone instance of its structure in a one-member block. Ensemble
+ * blocks run on BatchRunner's persistent worker pool and honor
+ * EnsembleOptions::progress/stop.
  */
 
 #include <chrono>
@@ -71,10 +71,6 @@
 
 namespace ark::telemetry {
 class RunLedger;
-}
-
-namespace ark::expr {
-struct JitScalarRhs;
 }
 
 namespace ark::sim {
@@ -108,9 +104,9 @@ struct SimOptions
      * one rounding for a*b+c, deterministic across hosts. Off by
      * default: the contracted program agrees with the plain tape only
      * to rounding (~1 ulp per pair), so the default build keeps the
-     * tier-equivalence bit contract. Lane and scalar paths honor the
-     * flag identically, so lane-vs-scalar bit identity holds for
-     * either setting. Perf note: the contraction removes one
+     * tier-equivalence bit contract. Every block width honors the
+     * flag identically, so the ensemble-vs-simulate() bit identity
+     * holds for either setting. Perf note: the contraction removes one
      * instruction per pair but only pays off where std::fma is a
      * hardware instruction (ARK_ENABLE_NATIVE on FMA hosts);
      * baseline-ISA builds route through libm's soft fma, which is
@@ -129,8 +125,8 @@ struct SimOptions
      * rewritten program agrees with the default tape only to
      * tolerance level, never reorders sums, and never touches
      * branch-deciding subtrees — so it is off by default and all
-     * tiers honor the flag identically (lane-vs-scalar bit identity
-     * holds under the flag). Takes precedence over tapeFma when both
+     * tiers honor the flag identically (the ensemble-vs-simulate()
+     * bit identity holds under the flag). Takes precedence over tapeFma when both
      * are set (the reassociated variant is always FMA-contracted).
      * The ARK_TAPE_REASSOC environment variable overrides this flag
      * in both directions (expr::reassocEnabled).
@@ -139,9 +135,9 @@ struct SimOptions
 
     /**
      * Serve RHS evaluation from tier-5 JIT-compiled native kernels
-     * (expr/cjit.h): the ensemble engine lowers each lane block's
-     * program (and each scalar instance's width-1 broadcast) to C,
-     * compiles it once per structure through the engine's
+     * (expr/cjit.h): every integration block — simulate()'s W=1
+     * block and each ensemble block alike — lowers its lane program
+     * to C, compiles it once per structure through the engine's
      * ArtifactCache and an on-disk object cache, and evaluates
      * through the resolved function pointer. Results are
      * bit-identical to the interpreted tiers — the emitted code
@@ -281,11 +277,14 @@ struct SimResult
 };
 
 /**
- * Integrates the system from t0 to t1. A diverging state (NaN/Inf)
- * stops the run early and reports a structured SimResult::failure, and
- * so does an exhausted step budget (AbortReason::BudgetExhausted, with
- * every sample recorded up to the stop); configuration errors (bad
- * time range, step collapse) still throw.
+ * Integrates the system from t0 to t1 as a one-member (W=1) block on
+ * the calling thread — the driver every ensemble block runs, so a
+ * one-member ensemble job reproduces it bit for bit, SimOptions::jit
+ * included. A diverging state (NaN/Inf) stops the run early and
+ * reports a structured SimResult::failure, and so does an exhausted
+ * step budget (AbortReason::BudgetExhausted, with every sample
+ * recorded up to the stop); configuration errors (bad time range,
+ * step collapse) still throw.
  * @throws ark::support::SimError on step-size collapse.
  */
 SimResult simulate(const compiler::OdeSystem &system, double t0, double t1,
@@ -314,22 +313,24 @@ struct EnsembleOptions
     unsigned numThreads = 0;
 
     /**
-     * Lane-batch structurally compatible instances through
-     * expr::LaneTape — fixed-step Rk4 on the shared grid, adaptive
-     * Dopri5 through the lane-synchronized step-voting driver. Off
-     * forces the scalar per-instance path (ablation benchmarks and
-     * differential tests). Rk4 results are bit-identical either way;
-     * Dopri5 results are tolerance-level equivalent (the voting
-     * driver integrates on a shared step sequence) and become
-     * bit-identical to serial simulate() only with laneBatching off.
+     * Group structurally compatible instances into lane blocks of up
+     * to 8 — fixed-step Rk4 on the shared grid, adaptive Dopri5
+     * through step voting. Off runs one job per instance, each a
+     * one-member (W=1) block (ablation benchmarks and differential
+     * tests). Rk4 results are bit-identical either way; Dopri5
+     * results are tolerance-level equivalent (the voting driver
+     * integrates on a shared step sequence) and are bit-identical to
+     * serial simulate() only for one-member blocks: every instance
+     * with laneBatching off, and a lone member of its structure
+     * class with it on.
      */
     bool laneBatching = true;
 
     /**
      * Optional completion callback: invoked with (completed, total)
-     * as each instance completes, on the scalar and lane paths alike
-     * (a lane that retires mid-block — divergence, cancellation —
-     * reports the moment it retires, not when its block ends).
+     * as each instance completes, at every block width (a lane that
+     * retires mid-block — divergence, cancellation — reports the
+     * moment it retires, not when its block ends).
      * `completed` is strictly increasing and reaches `total` exactly
      * once. Serialized internally — the callback never runs
      * concurrently with itself — but it may be invoked from worker
@@ -428,25 +429,32 @@ SimResult simulateToSteadyState(const compiler::OdeSystem &system,
 namespace detail {
 
 /**
- * simulate() with a cooperative stop token and optional wall-clock
- * deadline checked once per step — the scalar-path workhorse behind
- * BatchRunner. Not part of the public API. `jit`, when non-null,
- * routes RHS evaluation through a tier-5 native kernel (a width-1
- * broadcast of the system's tape; bit-identical to the fused
- * interpreter).
+ * The one integration entry point behind simulate() and BatchRunner:
+ * integrates a block of 1..expr::LaneTape::kMaxLanes instances whose
+ * RHS programs `tapes[k]` (each OdeSystem::rhsTape's variant for
+ * `options`) are lane-compatible, member k starting from
+ * `*initials[k]`. Rk4 blocks run the lane fixed-step driver, Dopri5
+ * blocks the step-voting adaptive driver; a one-member block is the
+ * W=1 case of the same code. `jit` is expr::jitEnabled(options.jit),
+ * resolved once by the caller. `stop` and `deadline` are checked
+ * once per step; `laneDone(k)` reports k members finished (completed,
+ * retired, or aborted). Returns one result per member; `usedJit` is
+ * set when a tier-5 kernel served the RHS. Not part of the public
+ * API.
  */
-SimResult simulateWithStop(
-    const compiler::OdeSystem &system, const std::vector<double> &initial,
-    double t0, double t1, const SimOptions &options,
+std::vector<SimResult> integrateBlock(
+    const std::vector<const expr::FusedTape *> &tapes,
+    const std::vector<const std::vector<double> *> &initials,
+    const std::vector<const compiler::OdeSystem *> &systems, double t0,
+    double t1, const SimOptions &options, bool jit,
     const std::stop_token &stop,
-    const std::optional<std::chrono::steady_clock::time_point> &deadline =
-        {},
-    const expr::JitScalarRhs *jit = nullptr);
+    const std::optional<std::chrono::steady_clock::time_point> &deadline,
+    const std::function<void(std::size_t)> &laneDone, bool &usedJit);
 
 /**
- * Shared failure constructors: the scalar and lane integrators must
- * report byte-identical failures for the same event, so both build
- * them here. `var` -1 means "not variable-specific" (e.g. a nonfinite
+ * Shared failure constructors: both integrators and the batch runner's
+ * pre-start skips report byte-identical failures for the same event,
+ * so all of them build them here. `var` -1 means "not variable-specific" (e.g. a nonfinite
  * Dopri5 error estimate with every state entry still finite).
  */
 SimFailure divergedFailure(const compiler::OdeSystem &system, int var,

@@ -41,9 +41,9 @@ public:
   enum class Workload : std::uint8_t { Ode, Spice };
 
   // Execution tier that actually ran the instance. Scalar/Lane/Jit
-  // are the ODE ensemble tiers (Jit = a tier-5 native kernel served
-  // the RHS, at any lane width); Dense/Sparse are the SPICE solve
-  // paths.
+  // are the ODE ensemble tiers (Scalar = alone in a W=1 block, Lane =
+  // a block of 2-8, Jit = a tier-5 native kernel served the RHS, at
+  // any lane width); Dense/Sparse are the SPICE solve paths.
   enum class Tier : std::uint8_t { Scalar, Lane, Dense, Sparse, Jit };
 
   // Whether the instance's compiled artifact (stepper factors, cached
@@ -65,7 +65,7 @@ public:
     std::size_t index = 0;         // instance position in the batch
     Workload workload = Workload::Ode;
     Tier tier = Tier::Scalar;
-    std::size_t laneWidth = 1;     // SoA width paid (1 on scalar paths)
+    std::size_t laneWidth = 1;     // SoA width paid (1 = one-member block)
     std::size_t lanes = 1;         // live instances sharing the block
     std::size_t blockId = 0;       // dispatch block / structure group
     int attempt = 1;               // 1-based supervisor attempt
