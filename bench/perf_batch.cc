@@ -11,8 +11,8 @@
  * battery through BatchRunner with lane batching on vs off
  * (single-thread, so the ratio isolates the lane win from pool
  * parallelism). The BM_EnsembleDopri5{Scalar,Lanes} pair does the
- * same for the adaptive default: the scalar per-instance Dopri5 path
- * vs the lane-synchronized step-voting driver on one voted grid.
+ * same for the adaptive default: one W=1 block per instance, each on
+ * its own step sequence, vs 8-lane blocks on one voted grid.
  * BM_PufBatteryRhsJit and BM_EnsembleDopri5Jit are the tier-5 twins:
  * the same RHS blocks served by runtime-compiled native kernels, and
  * the same adaptive battery with SimOptions::jit on — each reads
@@ -174,10 +174,10 @@ BENCHMARK(BM_PufBatteryEnsembleRk4)
     ->UseRealTime();
 
 /**
- * Adaptive battery, scalar per-instance Dopri5 (laneBatching off):
- * the pre-voting baseline every chip used to take. Default
- * tolerances, single-thread; items/sec == instances integrated per
- * second.
+ * Adaptive battery, one W=1 block per instance (laneBatching off):
+ * every chip on its own step sequence, the pre-voting baseline.
+ * Default tolerances, single-thread; items/sec == instances
+ * integrated per second.
  */
 void
 BM_EnsembleDopri5Scalar(benchmark::State &state)

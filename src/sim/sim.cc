@@ -211,6 +211,16 @@ class BlockEvaluator
     expr::JitKernelPtr kernel_;
 };
 
+/** First nonfinite entry of a lane's strided column, or -1. */
+int
+firstNonfinite(const double *column, std::size_t n, std::size_t stride)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        if (!std::isfinite(column[i * stride]))
+            return static_cast<int>(i);
+    return -1;
+}
+
 /**
  * Classical fixed-step RK4 over one lane block (1..8 instances on one
  * shared time grid). The stage arithmetic is elementwise and LaneTape
@@ -240,15 +250,6 @@ runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
     std::vector<SimResult> results(lanes);
     VoteStats stats;
 
-    auto failDiverged = [&](std::size_t lane, int var, double t,
-                            std::size_t steps) {
-        results[lane].steps = steps;
-        results[lane].failure =
-            detail::divergedFailure(*systems[lane], var, t, steps);
-        ++stats.retirements;
-        laneDone(1);
-    };
-
     // SoA blocks, lane-minor; padding lanes replicate lane 0 so their
     // (discarded) arithmetic stays finite.
     std::vector<double> state(m), k1(m), k2(m), k3(m), k4(m), tmp(m);
@@ -261,16 +262,24 @@ runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
 
     std::vector<char> alive(lanes, 1);
     std::size_t aliveCount = lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!std::isfinite(state[i * width + l])) {
-                failDiverged(l, static_cast<int>(i), t0, 0);
-                alive[l] = 0;
-                --aliveCount;
-                break;
-            }
+    // Retires every live lane whose state column went nonfinite.
+    auto retireDiverged = [&](double t, std::size_t steps) {
+        for (std::size_t l = 0; l < lanes; ++l) {
+            if (!alive[l])
+                continue;
+            int bad = firstNonfinite(state.data() + l, n, width);
+            if (bad < 0)
+                continue;
+            results[l].steps = steps;
+            results[l].failure =
+                detail::divergedFailure(*systems[l], bad, t, steps);
+            alive[l] = 0;
+            --aliveCount;
+            ++stats.retirements;
+            laneDone(1);
         }
-    }
+    };
+    retireDiverged(t0, 0);
     if (aliveCount == 0)
         return results;
 
@@ -355,18 +364,7 @@ runLaneRk4(const expr::LaneTape &tape, const BlockEvaluator &rhs,
         t += h;
         ++steps;
         stats.accepted = steps;
-        for (std::size_t l = 0; l < lanes; ++l) {
-            if (!alive[l])
-                continue;
-            for (std::size_t i = 0; i < n; ++i) {
-                if (!std::isfinite(state[i * width + l])) {
-                    failDiverged(l, static_cast<int>(i), t, steps);
-                    alive[l] = 0;
-                    --aliveCount;
-                    break;
-                }
-            }
-        }
+        retireDiverged(t, steps);
         if (aliveCount == 0)
             return results;
         rhs.eval(state.data(), t, k1.data(), regs.data());
@@ -440,7 +438,7 @@ class LaneDopri5
     {
         for (std::size_t member = 0; member < initials.size(); ++member) {
             const std::vector<double> &init = *initials[member];
-            int bad = firstNonfinite(init.data(), init.size());
+            int bad = firstNonfinite(init.data(), init.size(), 1);
             if (bad >= 0) {
                 results_[member].failure = detail::divergedFailure(
                     *systems_[member], bad, t0, 0);
@@ -496,15 +494,6 @@ class LaneDopri5
         double prevErr = 1.0;      ///< Last accepted error norm.
         std::size_t rejected = 0;  ///< Steps this lane voted down.
     };
-
-    static int
-    firstNonfinite(const double *x, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            if (!std::isfinite(x[i]))
-                return static_cast<int>(i);
-        return -1;
-    }
 
     bool
     recordGateOpen(double t, bool force) const
@@ -774,16 +763,6 @@ class LaneDopri5
         }
         laneDone_(aliveCount);
         return Status::Done;
-    }
-
-    /** First nonfinite of a lane's strided column, or -1. */
-    static int
-    firstNonfinite(const double *column, std::size_t n, std::size_t stride)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            if (!std::isfinite(column[i * stride]))
-                return static_cast<int>(i);
-        return -1;
     }
 
     /** Saves surviving columns into active_ and drops retired lanes. */

@@ -3,8 +3,8 @@
  * Tests for the lane-synchronized adaptive Dopri5 batch driver ("step
  * voting"): tolerance-level agreement with scalar Dopri5 on random
  * TLN/OBC/CNN ensembles, bit identity across thread counts, stiff-lane
- * voting, per-lane divergence retirement with block compaction and
- * scalar spill, ablation parity, and per-instance progress
+ * voting, per-lane divergence retirement with block compaction down
+ * to a W=1 block, ablation parity, and per-instance progress
  * monotonicity under lane retirement.
  */
 
@@ -424,9 +424,9 @@ TEST(Dopri5BatchTest, DivergingLanesRetireThroughCompactionAndSpill)
     // Eight instances of one drain system with staggered zero
     // crossings (t* = 2 sqrt(x0)): lanes retire as their error
     // estimates go NaN (divergence masking), the block compacts as
-    // survivors dwindle, and the last lane spills to the scalar
-    // continuation. Progress must tick per retirement, strictly
-    // increasing, and reach the total exactly once.
+    // survivors dwindle, and the last lane continues in a W=1 block.
+    // Progress must tick per retirement, strictly increasing, and
+    // reach the total exactly once.
     lang::LanguageRegistry registry;
     OdeSystem system = drainSystem(registry);
     const std::vector<double> x0s{0.0025, 0.01, 0.0225, 0.04, 0.0625,

@@ -330,8 +330,8 @@ expectResultsBitIdentical(const std::vector<sim::SimResult> &a,
 TEST_F(JitTest, EnsembleBitIdenticalWithJitOnAndOff)
 {
     // Lane blocks (6 instances -> W=8), both integrators: the jitted
-    // battery must reproduce the interpreted one bit for bit, spills
-    // and step votes included.
+    // battery must reproduce the interpreted one bit for bit,
+    // compactions and step votes included.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     std::vector<compiler::OdeSystem> systems =
         mismatchedLines(registry, 8, 6);
@@ -356,8 +356,9 @@ TEST_F(JitTest, EnsembleBitIdenticalWithJitOnAndOff)
 
 TEST_F(JitTest, ScalarPathBitIdenticalWithJitOnAndOff)
 {
-    // laneBatching off forces the serial driver — the JitScalarRhs
-    // hook in sim.cc — for both integrators.
+    // laneBatching off runs every instance as a one-member (W=1)
+    // block, whose kernel is a width-1 lane program, for both
+    // integrators.
     lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
     std::vector<compiler::OdeSystem> systems =
         mismatchedLines(registry, 6, 2);
@@ -377,6 +378,43 @@ TEST_F(JitTest, ScalarPathBitIdenticalWithJitOnAndOff)
         std::vector<sim::SimResult> jitted =
             sim::simulateEnsemble(pointers, 0.0, 1e-9, on);
         expectResultsBitIdentical(interpreted, jitted);
+    }
+}
+
+TEST_F(JitTest, TapeNanRetiresJitSingletonLikeInterpreted)
+{
+    // A one-instance ensemble runs as a W=1 block; its kernel must
+    // replay the interpreter's TapeNan poison site, so one armed fault
+    // fires once and retires the instance Diverged with the JIT on
+    // exactly as with it off, under both integrators.
+    if (!expr::jitEnabled(true))
+        GTEST_SKIP() << "JIT force-disabled in this environment";
+    lang::LanguageRegistry registry = paradigms::makeStandardRegistry();
+    std::vector<compiler::OdeSystem> systems =
+        mismatchedLines(registry, 6, 1);
+    std::vector<const compiler::OdeSystem *> pointers{&systems.front()};
+
+    for (sim::Method method : {sim::Method::Rk4, sim::Method::Dopri5}) {
+        std::vector<std::vector<sim::SimResult>> runs;
+        for (bool jit : {false, true}) {
+            sim::EnsembleOptions options;
+            options.sim.method = method;
+            options.sim.recordDt = 1e-10;
+            options.sim.jit = jit;
+            support::FaultInjector::arm(support::FaultSite::TapeNan, 0, 1);
+            runs.push_back(
+                sim::simulateEnsemble(pointers, 0.0, 1e-9, options));
+            EXPECT_EQ(support::FaultInjector::fired(
+                          support::FaultSite::TapeNan),
+                      1u)
+                << "jit " << jit;
+            ASSERT_EQ(runs.back().size(), 1u);
+            const sim::SimResult &result = runs.back().front();
+            ASSERT_FALSE(result.ok()) << "jit " << jit;
+            EXPECT_EQ(result.failure->reason, sim::AbortReason::Diverged);
+        }
+        expectResultsBitIdentical(runs[0], runs[1]);
+        EXPECT_EQ(runs[0][0].failure->message, runs[1][0].failure->message);
     }
 }
 

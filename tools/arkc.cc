@@ -367,7 +367,7 @@ cmdRun(int argc, char **argv)
                               ? options.recordDt
                               : options.tEnd / 500.0;
     simOptions.jit = options.jit;
-    // A single-system ensemble runs the scalar per-instance path,
+    // A single-system ensemble runs as a one-member block,
     // bit-identical to serial sim::simulate — dispatched through the
     // session so the flight recorder sees it.
     telemetry::RunLedger ledger;
