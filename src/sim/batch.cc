@@ -403,11 +403,10 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     std::mutex progressMutex;
     std::size_t completed = 0;
 
-    // Per-instance progress: both lane drivers report each instance
+    // Per-instance progress: both block drivers report each instance
     // the moment it completes (finish, divergence retirement, or
-    // cancellation), so `completed` ticks consistently across the
-    // scalar and batched paths and stays strictly increasing under
-    // lane retirement.
+    // cancellation), so `completed` ticks consistently at every block
+    // width and stays strictly increasing under lane retirement.
     auto instanceDone = [&](std::size_t done) {
         watchdogRun.heartbeat();
         if (done == 0 || !options.progress)
