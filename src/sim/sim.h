@@ -452,10 +452,11 @@ std::vector<SimResult> integrateBlock(
     const std::function<void(std::size_t)> &laneDone, bool &usedJit);
 
 /**
- * Shared failure constructors: both integrators and the batch runner's
- * pre-start skips report byte-identical failures for the same event,
- * so all of them build them here. `var` -1 means "not variable-specific" (e.g. a nonfinite
- * Dopri5 error estimate with every state entry still finite).
+ * Shared failure constructors: both integrators and the batch
+ * runner's pre-start skips report byte-identical failures for the
+ * same event, so all of them build them here. `var` -1 means "not
+ * variable-specific" (e.g. a nonfinite Dopri5 error estimate with
+ * every state entry still finite).
  */
 SimFailure divergedFailure(const compiler::OdeSystem &system, int var,
                            double t, std::size_t steps);
