@@ -2,8 +2,8 @@
  * @file
  * Ablation: compiled evaluation tapes versus the tree-walking
  * interpreter on real ODE right-hand sides (the Kuramoto coupling
- * expression and a full TLN system RHS), and the fused whole-system
- * tape versus the per-variable tape loop.
+ * expression as a one-output FusedTape, and a full TLN system RHS as
+ * the fused whole-system tape).
  */
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 #include "expr/eval.h"
 #include "expr/fold.h"
 #include "expr/fusedtape.h"
-#include "expr/tape.h"
 #include "lang/parser.h"
 #include "paradigms/standard.h"
 #include "paradigms/tln.h"
@@ -59,11 +58,12 @@ BENCHMARK(BM_ExprInterpreted);
 void
 BM_ExprTape(benchmark::State &state)
 {
-    expr::Tape tape = expr::Tape::compile(kuramotoTerm());
+    expr::FusedTape tape = expr::FusedTape::compile({kuramotoTerm()});
     std::vector<double> stateVec{0.3, 1.7};
-    std::vector<double> regs;
+    std::vector<double> regs(static_cast<std::size_t>(tape.numRegs()));
     for (auto _ : state) {
-        double v = tape.eval(stateVec.data(), 0.0, regs);
+        double v;
+        tape.evalInto(stateVec.data(), 0.0, &v, regs.data());
         benchmark::DoNotOptimize(v);
     }
 }
@@ -97,20 +97,6 @@ tln32System()
     spec.sections = 32;
     return compiler::compile(paradigms::tln::buildLine(tln, spec), tln);
 }
-
-void
-BM_SystemRhsTape(benchmark::State &state)
-{
-    compiler::OdeSystem system = tln32System();
-    std::vector<double> x = system.initialState();
-    std::vector<double> dx(system.size());
-    std::vector<double> scratch = system.makeScratch();
-    for (auto _ : state) {
-        system.evalRhsPerTape(x.data(), 1e-9, dx.data(), scratch);
-        benchmark::DoNotOptimize(dx[0]);
-    }
-}
-BENCHMARK(BM_SystemRhsTape);
 
 void
 BM_SystemRhsFused(benchmark::State &state)

@@ -150,7 +150,7 @@ Fingerprint stepperKey(const MnaFingerprint &pattern,
                        double finalH);
 
 /**
- * Cache key for a tier-5 JIT kernel: the lane tape's structure —
+ * Cache key for a JIT kernel: the lane tape's structure —
  * opcode stream (operands, destinations, builtins), lane width, and
  * register/output counts — plus the emitter version, so a codegen
  * change invalidates every cached kernel (in memory and on disk).

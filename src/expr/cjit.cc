@@ -312,7 +312,7 @@ emitKernelC(const LaneTape &tape)
     // is the host-computed std::tanh(1.2) emitted exactly, so the
     // division matches the interpreter's cached divisor bit-for-bit
     // (a compile-time tanh() fold could round differently).
-    src += "/* ark tier-5 kernel: width ";
+    src += "/* ark JIT kernel: width ";
     src += std::to_string(w);
     src += ", ";
     src += std::to_string(tape.size());

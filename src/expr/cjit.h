@@ -3,10 +3,10 @@
 
 /**
  * @file
- * Tier-5 execution: native code generation for lane tape programs.
+ * JIT execution: native code generation for lane tape programs.
  *
- * The fifth rung of the execution ladder (interpreter -> Tape ->
- * FusedTape -> LaneTape -> JIT): a LaneTape program is lowered to
+ * The fourth rung of the execution ladder (interpreter -> FusedTape
+ * -> LaneTape -> JIT): a LaneTape program is lowered to
  * straight-line C — one outer loop over the independent lanes whose
  * body is one statement per tape instruction, in stream order, with
  * no reassociation, over a per-lane scalar register file — compiled

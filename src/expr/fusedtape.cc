@@ -5,12 +5,10 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <unordered_map>
 
 #include "expr/tape_exec.h"
 #include "support/error.h"
-#include "support/faultinject.h"
 #include "support/logging.h"
 
 namespace ark::expr {
@@ -498,12 +496,6 @@ FusedTape::evalInto(const double *state, double t, double *out,
         }
         regs[op.dst] = detail::execCompute(op, state, t, regs);
     }
-    // Deterministic fault injection: poison the first output, as a
-    // numerical fault in the RHS would (tests of divergence handling
-    // and the retry supervisor arm this; zero cost disarmed).
-    if (support::FaultInjector::shouldFire(support::FaultSite::TapeNan) &&
-        numOutputs_ > 0)
-        out[0] = std::numeric_limits<double>::quiet_NaN();
 }
 
 std::vector<double>

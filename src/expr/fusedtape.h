@@ -6,10 +6,11 @@
  * Fused multi-output evaluation tape for whole-system ODE right-hand
  * sides.
  *
- * Where expr::Tape compiles one expression into one register program,
  * FusedTape lowers *all* RHS expressions of a dynamical system into a
- * single program that fills the whole dstate vector in one pass
- * (WriteOutput instructions). Lowering performs:
+ * single register program that fills the whole dstate vector in one
+ * pass (WriteOutput instructions); a one-output FusedTape is how a
+ * single expression compiles (e.g. a SPICE source waveform). Lowering
+ * performs:
  *
  *  - global value numbering: structurally identical subexpressions
  *    across equations (Const, LoadTime, LoadState, every operator and
@@ -25,9 +26,8 @@
  *    small reusable register file via last-use linear scan, keeping
  *    the working set cache-resident even for large systems.
  *
- * The instruction set, TapeOp encoding, and per-op semantics are
- * shared with expr::Tape (see tape_exec.h), so fused evaluation is
- * numerically identical to running the per-variable tapes (up to the
+ * The instruction set and TapeOp encoding are defined in tape.h.
+ * Evaluation performs the interpreter's IEEE operations (up to the
  * sign of zero under the x+0 identity).
  *
  * compile(outputs, fuseMulAdd = true) derives an FMA variant of
@@ -38,16 +38,16 @@
  * operands stay live to the fused site. It is a guarded opt-in,
  * never applied by default: the default program keeps
  * one-IEEE-rounding-per-arithmetic-step semantics and therefore
- * stays bit-identical to the per-variable tapes and the interpreter;
- * the FMA variant agrees with them only to rounding (~1 ulp per
+ * stays bit-identical to the interpreter; the FMA variant agrees
+ * with it only to rounding (~1 ulp per
  * contracted pair) but shortens the stream by one instruction per
  * contraction. SimOptions::tapeFma selects the variant on the
  * simulation hot paths.
  *
- * FusedTape is the third of five execution tiers (see sim/sim.h for
- * the full ladder): tree interpreter -> per-variable Tape -> fused
- * whole-system tape -> lane-parallel LaneTape -> JIT native kernels
- * (expr/cjit.h, compiled from the LaneTape program). The integrators
+ * FusedTape is the second of four execution tiers (see sim/sim.h for
+ * the full ladder): tree interpreter -> fused whole-system tape ->
+ * lane-parallel LaneTape -> JIT native kernels (expr/cjit.h,
+ * compiled from the LaneTape program). The integrators
  * do not run it directly — every integration block, a single
  * instance's W=1 block included, executes it as a LaneTape — but
  * evalInto stays the per-instance RHS reference that the lane and JIT
@@ -96,8 +96,8 @@ class FusedTape
     std::size_t size() const { return ops_.size(); }
 
     /**
-     * Compute instructions eliminated by fusion relative to compiling
-     * each output into its own Tape (CSE hits + folds); perf
+     * Compute instructions eliminated by value numbering relative to
+     * lowering every expression tree node (CSE hits + folds); perf
      * instrumentation for tests and benchmarks.
      */
     std::size_t fusionSavings() const { return fusionSavings_; }

@@ -5,9 +5,9 @@
  * @file
  * Lane-parallel batch execution of fused whole-system tapes.
  *
- * LaneTape is the fourth of five execution tiers (interpreter ->
- * per-variable Tape -> FusedTape -> LaneTape -> JIT native kernels,
- * expr/cjit.h) and the one both integrators run: it re-executes a
+ * LaneTape is the third of four execution tiers (interpreter ->
+ * FusedTape -> LaneTape -> JIT native kernels, expr/cjit.h) and the
+ * one both integrators run: it re-executes a
  * compiled FusedTape program over a structure-of-arrays block of N
  * instance states — one instruction stream, W lanes wide. A single
  * instance (sim::simulate, or a one-member ensemble job) is a W=1
@@ -99,7 +99,7 @@ class LaneTape
     std::size_t size() const { return ops_.size(); }
 
     /** The program; Const ops hold a constant-table slot in `a`.
-     *  Exposed for the tier-5 JIT emitter and its cache key. */
+     *  Exposed for the JIT emitter and its cache key. */
     const std::vector<TapeOp> &ops() const { return ops_; }
 
     /** Per-lane constant table, slot-major (slot * width() + lane);

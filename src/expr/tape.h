@@ -3,26 +3,20 @@
 
 /**
  * @file
- * Flat evaluation tapes for ODE right-hand sides.
+ * The tape instruction set for ODE right-hand sides.
  *
- * The compiler lowers each fully-resolved dynamics expression (only
- * literals, `time`, state-vector slots, operators, and builtins remain)
- * into a postorder register program. The simulator evaluates tapes with
- * zero allocation per step; benchmarks show an order-of-magnitude win
- * over tree walking (see bench/perf_expr).
- *
- * Tape compiles one expression into one program; the hot simulation
- * path uses expr::FusedTape (fusedtape.h), which lowers a whole
- * system's RHS vector into a single program with cross-equation CSE
- * and fills every dstate slot in one pass. Both engines share this
- * instruction set (TapeOp/OpCode) and the executor in tape_exec.h.
+ * expr::FusedTape (fusedtape.h) lowers a system's fully-resolved RHS
+ * expressions (only literals, `time`, state-vector slots, operators,
+ * and builtins remain) into one register program of TapeOps; a
+ * one-output FusedTape is how a single expression is compiled.
+ * expr::LaneTape runs that program over lane blocks and expr/cjit.h
+ * lowers it to native code. Every executor shares this instruction
+ * set (TapeOp/OpCode) and the executor in tape_exec.h.
  */
 
 #include <cstdint>
-#include <vector>
 
 #include "expr/builtins.h"
-#include "expr/expr.h"
 
 namespace ark::expr {
 
@@ -61,57 +55,6 @@ struct TapeOp
     std::int32_t b;
     std::int32_t c;
     double imm;
-};
-
-/**
- * A compiled expression: a register program returning one double.
- */
-class Tape
-{
-  public:
-    /**
-     * Compiles a resolved expression.
-     * @throws ark::support::CompileError if the tree still contains
-     *         Var, Attr, NodeVar, or lambda-callee nodes.
-     */
-    static Tape compile(const ExprPtr &e);
-
-    /** Number of scratch registers evaluation requires. */
-    int numRegs() const { return numRegs_; }
-
-    /** Number of instructions (for tests and benchmarks). */
-    std::size_t size() const { return ops_.size(); }
-
-    /**
-     * Evaluates against a state vector and time. `regs` is caller
-     * scratch, resized as needed (pass the same buffer across calls to
-     * avoid reallocation).
-     */
-    double eval(const double *state, double t,
-                std::vector<double> &regs) const;
-
-    /**
-     * Hot-path evaluation against caller scratch of at least
-     * numRegs() doubles; no size check beyond a debug assertion.
-     * OdeSystem sizes one scratch block per system and reuses it for
-     * every call, keeping the resize branch out of the inner loop.
-     */
-    double eval(const double *state, double t, double *regs) const;
-
-    /** Convenience wrapper that owns its scratch (slower; tests). */
-    double evalAlloc(const std::vector<double> &state, double t) const;
-
-    /** Largest state index referenced, or -1 when stateless. */
-    int maxStateIndex() const { return maxStateIndex_; }
-
-  private:
-    std::vector<TapeOp> ops_;
-    int numRegs_ = 0;
-    int maxStateIndex_ = -1;
-
-    int emit(const ExprPtr &e);
-    int newReg();
-    int addOp(TapeOp op);
 };
 
 } // namespace ark::expr

@@ -3,12 +3,9 @@
 
 /**
  * @file
- * Shared instruction executor for the tape interpreters.
- *
- * Tape (single-expression) and FusedTape (whole-system) run the same
- * instruction set; keeping the dispatch in one inline function
- * guarantees the two engines agree operation-for-operation, which the
- * fused-vs-interpreted equivalence property tests rely on.
+ * Scalar instruction executor for FusedTape evaluation and its
+ * constant folder, kept in one inline function so the two agree
+ * operation-for-operation.
  */
 
 #include <cmath>

@@ -397,7 +397,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
 
     std::vector<SimResult> results(count);
     std::vector<std::exception_ptr> errors(count);
-    // Per-job tier-5 provenance for the ledger flush below: a job is
+    // Per-job JIT provenance for the ledger flush below: a job is
     // "jit" only when a kernel actually ran (not merely requested).
     std::vector<char> jitUsed(jobs.size(), 0);
     std::mutex progressMutex;

@@ -172,8 +172,8 @@ deadlinePassed(const Deadline &deadline)
 }
 
 /**
- * One lane block's RHS, routed through the tier-5 native kernel when
- * one resolves and the tier-4 interpreter otherwise. Resolution
+ * One lane block's RHS, routed through the JIT native kernel when
+ * one resolves and the lane interpreter otherwise. Resolution
  * happens once per block (a cache hit after the first compile); every
  * failure mode — jit off, no toolchain, compile failure — leaves
  * kernel_ null and the block runs interpreted with identical results.
@@ -466,7 +466,7 @@ class LaneDopri5
         // stats_'s own destructor flushes to the registry.
     }
 
-    /** True when any block ran a tier-5 kernel — drives the run
+    /** True when any block ran a JIT kernel — drives the run
      *  ledger's tier attribution. */
     bool usedJit() const { return usedJit_; }
 
@@ -794,7 +794,7 @@ class LaneDopri5
     const std::stop_token &stop_;
     const Deadline &deadline_;
     const std::function<void(std::size_t)> &laneDone_;
-    const bool jitOn_;     ///< Try tier-5 kernels per block.
+    const bool jitOn_;     ///< Try JIT kernels per block.
     bool usedJit_ = false; ///< Any block actually ran one.
 
     const std::size_t n_;  ///< State variables per instance.

@@ -11,24 +11,23 @@
  * control (default; handles the nanosecond-scale TLN/OBC dynamics and
  * the CNN's piecewise-linear saturations efficiently).
  *
- * RHS evaluation has five execution tiers, each a strict speedup over
+ * RHS evaluation has four execution tiers, each a strict speedup over
  * the previous at identical semantics:
  *
  *  1. tree interpreter (OdeSystem::evalRhsInterpreted) — ground truth
  *     for equivalence tests;
- *  2. per-variable tapes (evalRhsPerTape) — one register program per
- *     equation, kept as the ablation path;
- *  3. fused whole-system tape (evalRhs / expr::FusedTape) — one
+ *  2. fused whole-system tape (evalRhs / expr::FusedTape) — one
  *     program with cross-equation CSE fills all of dstate per pass;
- *     the program every integration block is built from;
- *  4. lane-parallel block tape (expr::LaneTape) — the fused program
+ *     the program every integration block is built from, and the
+ *     per-instance RHS reference the upper tiers are bit-identical to;
+ *  3. lane-parallel block tape (expr::LaneTape) — the fused program
  *     executed over a structure-of-arrays block of 1..8 instances at
  *     once, amortizing instruction dispatch and autovectorizing the
  *     lane loops; what both integrators drive;
- *  5. JIT native kernels (expr/cjit.h, SimOptions::jit) — the lane
+ *  4. JIT native kernels (expr/cjit.h, SimOptions::jit) — the lane
  *     program lowered to straight-line C, compiled at runtime, and
  *     called through one function pointer per evaluation. Results
- *     are bit-identical to tiers 3/4 (same IEEE ops in the same
+ *     are bit-identical to tiers 2/3 (same IEEE ops in the same
  *     order); any compile problem silently falls back to the
  *     interpreted tier.
  *
@@ -134,7 +133,7 @@ struct SimOptions
     bool tapeReassoc = false;
 
     /**
-     * Serve RHS evaluation from tier-5 JIT-compiled native kernels
+     * Serve RHS evaluation from JIT-compiled native kernels
      * (expr/cjit.h): every integration block — simulate()'s W=1
      * block and each ensemble block alike — lowers its lane program
      * to C, compiles it once per structure through the engine's
@@ -439,7 +438,7 @@ namespace detail {
  * resolved once by the caller. `stop` and `deadline` are checked
  * once per step; `laneDone(k)` reports k members finished (completed,
  * retired, or aborted). Returns one result per member; `usedJit` is
- * set when a tier-5 kernel served the RHS. Not part of the public
+ * set when a JIT kernel served the RHS. Not part of the public
  * API.
  */
 std::vector<SimResult> integrateBlock(

@@ -42,7 +42,7 @@ public:
 
   // Execution tier that actually ran the instance. Scalar/Lane/Jit
   // are the ODE ensemble tiers (Scalar = alone in a W=1 block, Lane =
-  // a block of 2-8, Jit = a tier-5 native kernel served the RHS, at
+  // a block of 2-8, Jit = a JIT native kernel served the RHS, at
   // any lane width); Dense/Sparse are the SPICE solve paths.
   enum class Tier : std::uint8_t { Scalar, Lane, Dense, Sparse, Jit };
 

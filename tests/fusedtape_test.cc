@@ -3,8 +3,7 @@
  * Tests for the fused whole-system tape: multi-output correctness,
  * cross-equation CSE, constant folding, register reuse, error
  * handling, and a randomized equivalence property against the
- * tree-walking interpreter and the per-variable tapes across real
- * TLN/OBC/CNN systems.
+ * tree-walking interpreter across real TLN/OBC/CNN systems.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +12,8 @@
 #include <numbers>
 
 #include "compiler/compiler.h"
+#include "expr/eval.h"
 #include "expr/fusedtape.h"
-#include "expr/tape.h"
 #include "paradigms/cnn.h"
 #include "paradigms/obc.h"
 #include "paradigms/standard.h"
@@ -30,9 +29,20 @@ using expr::BinOp;
 using expr::Expr;
 using expr::ExprPtr;
 using expr::FusedTape;
-using expr::Tape;
 
-TEST(FusedTapeTest, MultiOutputMatchesPerExpressionTapes)
+/** Tree-interpreter reference value of `e`. */
+double
+interpret(const ExprPtr &e, const std::vector<double> &state, double t)
+{
+    expr::EvalContext ctx;
+    ctx.time = t;
+    ctx.lookupState = [&](int i) {
+        return state[static_cast<std::size_t>(i)];
+    };
+    return expr::evalReal(e, ctx);
+}
+
+TEST(FusedTapeTest, MultiOutputMatchesInterpreter)
 {
     // dq0 = sin(q0 - q1), dq1 = sin(q0 - q1) * q1, dq2 = t + 2.
     ExprPtr shared = Expr::call(
@@ -51,8 +61,7 @@ TEST(FusedTapeTest, MultiOutputMatchesPerExpressionTapes)
     std::vector<double> got = fused.evalAlloc(state, 1.5);
     ASSERT_EQ(got.size(), 3u);
     for (std::size_t k = 0; k < outputs.size(); ++k) {
-        EXPECT_DOUBLE_EQ(got[k],
-                         Tape::compile(outputs[k]).evalAlloc(state, 1.5))
+        EXPECT_DOUBLE_EQ(got[k], interpret(outputs[k], state, 1.5))
             << "output " << k;
     }
 }
@@ -60,7 +69,7 @@ TEST(FusedTapeTest, MultiOutputMatchesPerExpressionTapes)
 TEST(FusedTapeTest, SharedSubexpressionsCompiledOnce)
 {
     // Both outputs use the same expensive coupling term; the fused
-    // program must be smaller than the per-expression programs.
+    // program must be smaller than the one-output programs.
     ExprPtr coupling = Expr::binary(
         BinOp::Mul, Expr::real(-1.6e9),
         Expr::call("sin", {Expr::binary(BinOp::Sub, Expr::stateVar(0),
@@ -70,9 +79,9 @@ TEST(FusedTapeTest, SharedSubexpressionsCompiledOnce)
         Expr::binary(BinOp::Add, coupling, Expr::stateVar(1)),
     };
     FusedTape fused = FusedTape::compile(outputs);
-    std::size_t perTape = Tape::compile(outputs[0]).size() +
-                          Tape::compile(outputs[1]).size();
-    EXPECT_LT(fused.size(), perTape);
+    std::size_t separate = FusedTape::compile({outputs[0]}).size() +
+                           FusedTape::compile({outputs[1]}).size();
+    EXPECT_LT(fused.size(), separate);
     EXPECT_GT(fused.fusionSavings(), 0u);
 }
 
@@ -127,9 +136,7 @@ TEST(FusedTapeTest, RegisterReuseKeepsFileSmall)
     std::vector<double> state{0.1, -0.2, 0.3, -0.4, 0.5, -0.6, 0.7, 1.8};
     std::vector<double> got = fused.evalAlloc(state, 0.0);
     for (std::size_t k = 0; k < outputs.size(); ++k) {
-        EXPECT_NEAR(got[k],
-                    Tape::compile(outputs[k]).evalAlloc(state, 0.0),
-                    1e-12)
+        EXPECT_NEAR(got[k], interpret(outputs[k], state, 0.0), 1e-12)
             << "output " << k;
     }
 }
@@ -157,8 +164,8 @@ TEST(FusedTapeTest, UnresolvedNodesRejected)
 /**
  * Property: on real compiled systems (TLN lines, OBC max-cut
  * networks, CNN grids) with randomized parameters and random states,
- * the fused tape, the per-variable tapes, and the tree-walking
- * interpreter agree within floating-point tolerance.
+ * the fused tape and the tree-walking interpreter agree within
+ * floating-point tolerance.
  */
 class FusedEquivalence : public ::testing::TestWithParam<int>
 {
@@ -183,21 +190,18 @@ void
 expectRhsAgreement(const compiler::OdeSystem &system, support::Rng &rng)
 {
     const std::size_t n = system.size();
-    std::vector<double> state(n), fused(n), perTape(n), interpreted(n);
+    std::vector<double> state(n), fused(n), interpreted(n);
     std::vector<double> scratch = system.makeScratch();
     for (int trial = 0; trial < 8; ++trial) {
         for (std::size_t i = 0; i < n; ++i)
             state[i] = rng.uniform(-2.0, 2.0);
         double t = rng.uniform(0.0, 1e-7);
         system.evalRhs(state.data(), t, fused.data(), scratch);
-        system.evalRhsPerTape(state.data(), t, perTape.data(), scratch);
         system.evalRhsInterpreted(state.data(), t, interpreted.data());
         for (std::size_t i = 0; i < n; ++i) {
             double scale = 1.0 + std::fabs(interpreted[i]);
             EXPECT_NEAR(fused[i], interpreted[i], 1e-9 * scale)
                 << "fused vs interpreted, eq " << i;
-            EXPECT_NEAR(fused[i], perTape[i], 1e-9 * scale)
-                << "fused vs per-tape, eq " << i;
         }
     }
 }
