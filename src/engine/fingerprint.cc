@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 
+#include "expr/cjit.h"
 #include "expr/expr.h"
 #include "expr/lanetape.h"
 #include "expr/tape.h"
@@ -416,17 +417,21 @@ stepperKey(const MnaFingerprint &pattern,
 Fingerprint
 kernelKey(const expr::LaneTape &tape)
 {
-    // Bump on any change to the emitted C (expr::emitKernelC), the
-    // kernel ABI, or the compile flags: the version is hashed into
-    // every key, so old disk-cache entries become unreachable rather
-    // than stale.
-    constexpr std::uint64_t kEmitterVersion = 2;
+    // A digest of the emitter's fixed text (prelude, ISA spellings,
+    // compile flags) is hashed into every key, so any change to them
+    // makes old disk-cache entries unreachable rather than stale.
+    static const Fingerprint emitter = [] {
+        Hasher text;
+        text.absorb(expr::kernelEmitterText());
+        return text.finish();
+    }();
 
     const auto index = [](std::int32_t i) {
         return static_cast<std::uint64_t>(static_cast<std::uint32_t>(i));
     };
     Hasher h;
-    h.absorb(kEmitterVersion);
+    h.absorb(emitter.hi);
+    h.absorb(emitter.lo);
     h.absorb(static_cast<std::uint64_t>(tape.width()));
     h.absorb(static_cast<std::uint64_t>(tape.numOutputs()));
     h.absorb(index(tape.numRegs()));

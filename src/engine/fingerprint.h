@@ -152,8 +152,9 @@ Fingerprint stepperKey(const MnaFingerprint &pattern,
 /**
  * Cache key for a JIT kernel: the lane tape's structure —
  * opcode stream (operands, destinations, builtins), lane width, and
- * register/output counts — plus the emitter version, so a codegen
- * change invalidates every cached kernel (in memory and on disk).
+ * register/output counts — plus a digest of the emitter's fixed text
+ * (expr::kernelEmitterText), so an ISA or codegen change invalidates
+ * every cached kernel (in memory and on disk).
  * Const immediates are deliberately excluded: they are call-time data
  * (the per-lane constant table), which is what lets one kernel serve
  * every parameter draw of a structure class. FMA needs no separate

@@ -1,7 +1,5 @@
 #include "expr/builtins.h"
 
-#include <cmath>
-
 #include "support/logging.h"
 
 namespace ark::expr {
@@ -9,21 +7,10 @@ namespace ark::expr {
 namespace {
 
 const std::vector<BuiltinInfo> builtinTable = {
-    {Builtin::Sin, "sin", 1},
-    {Builtin::Cos, "cos", 1},
-    {Builtin::Tan, "tan", 1},
-    {Builtin::Exp, "exp", 1},
-    {Builtin::Log, "log", 1},
-    {Builtin::Sqrt, "sqrt", 1},
-    {Builtin::Abs, "abs", 1},
-    {Builtin::Tanh, "tanh", 1},
-    {Builtin::Sgn, "sgn", 1},
-    {Builtin::Min, "min", 2},
-    {Builtin::Max, "max", 2},
-    {Builtin::Pow, "pow", 2},
-    {Builtin::Sat, "sat", 1},
-    {Builtin::SatNi, "sat_ni", 1},
-    {Builtin::Pulse, "pulse", 3},
+#define ARK_TAPE_INFO(name, spelling, arity, ...)                      \
+    {Builtin::name, spelling, arity},
+    ARK_TAPE_BUILTINS(ARK_TAPE_INFO)
+#undef ARK_TAPE_INFO
 };
 
 } // namespace
@@ -46,74 +33,31 @@ allBuiltins()
 double
 satFn(double x)
 {
-    // Chua-Yang piecewise-linear saturation, the classic CNN f(x).
-    return 0.5 * (std::fabs(x + 1.0) - std::fabs(x - 1.0));
+    return evalCompute(OpCode::CallB, Builtin::Sat, x, 0.0, 0.0);
 }
 
 double
 satNiFn(double x)
 {
-    // MOS differential-pair-like soft saturation: smooth knees, unit
-    // endpoints (sat_ni(1) == 1), steeper small-signal gain (~1.44).
-    static const double scale = std::tanh(1.2);
-    return std::tanh(1.2 * x) / scale;
+    return evalCompute(OpCode::CallB, Builtin::SatNi, x, 0.0, 0.0);
 }
 
 double
 pulseFn(double t, double start, double width)
 {
-    // Trapezoidal pulse of unit amplitude: linear rise/fall over 5% of
-    // the width, flat top in between. Zero outside [start, start+width].
-    if (width <= 0.0)
-        return 0.0;
-    double ramp = 0.05 * width;
-    double rel = t - start;
-    if (rel <= 0.0 || rel >= width)
-        return 0.0;
-    if (rel < ramp)
-        return rel / ramp;
-    if (rel > width - ramp)
-        return (width - rel) / ramp;
-    return 1.0;
+    return evalCompute(OpCode::CallB, Builtin::Pulse, t, start, width);
 }
 
 double
 evalBuiltin(Builtin id, const double *args, int count)
 {
-    switch (id) {
-      case Builtin::Sin:
-        return std::sin(args[0]);
-      case Builtin::Cos:
-        return std::cos(args[0]);
-      case Builtin::Tan:
-        return std::tan(args[0]);
-      case Builtin::Exp:
-        return std::exp(args[0]);
-      case Builtin::Log:
-        return std::log(args[0]);
-      case Builtin::Sqrt:
-        return std::sqrt(args[0]);
-      case Builtin::Abs:
-        return std::fabs(args[0]);
-      case Builtin::Tanh:
-        return std::tanh(args[0]);
-      case Builtin::Sgn:
-        return args[0] > 0.0 ? 1.0 : (args[0] < 0.0 ? -1.0 : 0.0);
-      case Builtin::Min:
-        return std::fmin(args[0], args[1]);
-      case Builtin::Max:
-        return std::fmax(args[0], args[1]);
-      case Builtin::Pow:
-        return std::pow(args[0], args[1]);
-      case Builtin::Sat:
-        return satFn(args[0]);
-      case Builtin::SatNi:
-        return satNiFn(args[0]);
-      case Builtin::Pulse:
-        return pulseFn(args[0], args[1], args[2]);
-    }
-    support::panic(support::cat("unknown builtin id ",
-                                static_cast<int>(id), " count ", count));
+    if (count < 1 || count > 3 ||
+        static_cast<std::size_t>(id) >= builtinTable.size())
+        support::panic(support::cat("unknown builtin id ",
+                                    static_cast<int>(id), " count ", count));
+    return evalCompute(OpCode::CallB, id, args[0],
+                       count > 1 ? args[1] : 0.0,
+                       count > 2 ? args[2] : 0.0);
 }
 
 } // namespace ark::expr

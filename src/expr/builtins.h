@@ -8,24 +8,18 @@
  * The set covers the operators the paper's languages use (sin for the
  * Kuramoto model, sat/sat_ni for CNN nonlinearities, pulse for TLN
  * inputs) plus the usual scalar math toolbox. Builtins are pure
- * real->real (or reals->real) functions; they evaluate identically in
- * the tree-walking interpreter and the compiled tape.
+ * real->real (or reals->real) functions, defined once as rows of the
+ * tape ISA (ARK_TAPE_BUILTINS in expr/tape.h), so they evaluate
+ * identically in the tree-walking interpreter, the compiled tapes and
+ * the JIT kernels.
  */
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
-namespace ark::expr {
+#include "expr/tape.h"
 
-/** Identifies a builtin; doubles as the tape opcode payload. */
-enum class Builtin : std::uint8_t {
-    Sin, Cos, Tan, Exp, Log, Sqrt, Abs, Tanh, Sgn,
-    Min, Max, Pow,
-    Sat,    ///< Standard CNN saturation: 0.5*(|x+1| - |x-1|).
-    SatNi,  ///< Non-ideal saturation: tanh(1.2 x)/tanh(1.2).
-    Pulse,  ///< pulse(t, t0, w): trapezoidal pulse, unit amplitude.
-};
+namespace ark::expr {
 
 /** Descriptor for one builtin function. */
 struct BuiltinInfo
@@ -41,7 +35,7 @@ const BuiltinInfo *findBuiltin(const std::string &name);
 /** All registered builtins (for error hints and fuzz tests). */
 const std::vector<BuiltinInfo> &allBuiltins();
 
-/** Evaluates a builtin on already-computed arguments. */
+/** Evaluates a builtin on `count` already-computed arguments. */
 double evalBuiltin(Builtin id, const double *args, int count);
 
 /** Convenience wrappers used directly by analysis code. */

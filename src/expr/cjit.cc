@@ -2,19 +2,19 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "expr/builtins.h"
 #include "expr/tape.h"
 #include "support/faultinject.h"
 #include "support/telemetry.h"
@@ -231,44 +231,89 @@ loadKernel(const std::string &path, const LaneTape &tape)
         tape.width(), tape.numOutputs());
 }
 
-/** C spelling of one builtin call over already-formatted arguments. */
-std::string
-builtinCall(Builtin id, const std::vector<std::string> &args)
+/** C spelling of a compute opcode's ISA row (expr/tape.h). */
+const char *
+opSpelling(OpCode op)
+{
+    switch (op) {
+#define ARK_SPELL_OP(name, arity, ...)                                 \
+      case OpCode::name:                                               \
+        return #__VA_ARGS__;
+        ARK_TAPE_OPS(ARK_SPELL_OP)
+#undef ARK_SPELL_OP
+      case OpCode::Const:
+      case OpCode::LoadTime:
+      case OpCode::LoadState:
+      case OpCode::CallB:
+      case OpCode::WriteOutput:
+        break;
+    }
+    return nullptr;
+}
+
+/** C spelling of a builtin's ISA row (expr/tape.h). */
+const char *
+builtinSpelling(Builtin id)
 {
     switch (id) {
-      case Builtin::Sin:
-        return "sin(" + args[0] + ")";
-      case Builtin::Cos:
-        return "cos(" + args[0] + ")";
-      case Builtin::Tan:
-        return "tan(" + args[0] + ")";
-      case Builtin::Exp:
-        return "exp(" + args[0] + ")";
-      case Builtin::Log:
-        return "log(" + args[0] + ")";
-      case Builtin::Sqrt:
-        return "sqrt(" + args[0] + ")";
-      case Builtin::Abs:
-        return "fabs(" + args[0] + ")";
-      case Builtin::Tanh:
-        return "tanh(" + args[0] + ")";
-      case Builtin::Sgn:
-        return "ark_sgn(" + args[0] + ")";
-      case Builtin::Min:
-        return "fmin(" + args[0] + ", " + args[1] + ")";
-      case Builtin::Max:
-        return "fmax(" + args[0] + ", " + args[1] + ")";
-      case Builtin::Pow:
-        return "pow(" + args[0] + ", " + args[1] + ")";
-      case Builtin::Sat:
-        return "ark_sat(" + args[0] + ")";
-      case Builtin::SatNi:
-        return "ark_sat_ni(" + args[0] + ")";
-      case Builtin::Pulse:
-        return "ark_pulse(" + args[0] + ", " + args[1] + ", " +
-               args[2] + ")";
+#define ARK_SPELL_BUILTIN(name, spelling, arity, ...)                  \
+      case Builtin::name:                                              \
+        return #__VA_ARGS__;
+        ARK_TAPE_BUILTINS(ARK_SPELL_BUILTIN)
+#undef ARK_SPELL_BUILTIN
     }
-    return {};
+    return nullptr;
+}
+
+/**
+ * Instantiates an ISA row's C spelling on registers: every operand
+ * name A, B, C that stands as a whole token becomes the C expression
+ * for that operand.
+ */
+std::string
+instantiate(std::string_view spelling, const std::string (&operands)[3])
+{
+    auto identChar = [](char ch) {
+        return std::isalnum(static_cast<unsigned char>(ch)) != 0 ||
+               ch == '_';
+    };
+    std::string out;
+    out.reserve(spelling.size() + 32);
+    for (std::size_t i = 0; i < spelling.size(); ++i) {
+        const char ch = spelling[i];
+        const bool operand =
+            ch >= 'A' && ch <= 'C' &&
+            (i == 0 || !identChar(spelling[i - 1])) &&
+            (i + 1 == spelling.size() || !identChar(spelling[i + 1]));
+        if (operand)
+            out += operands[ch - 'A'];
+        else
+            out += ch;
+    }
+    return out;
+}
+
+/**
+ * Everything before the first statement of every kernel: libm, the
+ * sat_ni divisor as an exact literal of the host's value (the
+ * interpreter divides by the same double; a compile-time tanh() fold
+ * could round differently), the ISA's helper functions, and the
+ * kernel signature.
+ */
+const std::string &
+kernelPrelude()
+{
+    static const std::string prelude =
+        "#include <math.h>\n\n"
+        "static const double ark_sat_ni_scale = " +
+        hexLiteral(ark_sat_ni_scale) + ";\n\n" +
+        ARK_TAPE_STR(ARK_TAPE_HELPERS) "\n\n"
+        "void " + std::string(kKernelSymbol) +
+        "(const double *restrict state, double t,\n"
+        "                double *restrict out, "
+        "const double *restrict consts)\n{\n"
+        "    (void)state; (void)t; (void)consts;\n";
+    return prelude;
 }
 
 } // namespace
@@ -301,6 +346,25 @@ jitToolchainAvailable()
     return !jitCompilerPath().empty();
 }
 
+const std::string &
+kernelEmitterText()
+{
+    static const std::string text = [] {
+        std::string out = kernelPrelude();
+#define ARK_TEXT_OP(name, arity, ...)                                  \
+        out += #name " " #arity " " #__VA_ARGS__ "\n";
+        ARK_TAPE_OPS(ARK_TEXT_OP)
+#undef ARK_TEXT_OP
+#define ARK_TEXT_BUILTIN(name, spelling, arity, ...)                   \
+        out += #name " " spelling " " #arity " " #__VA_ARGS__ "\n";
+        ARK_TAPE_BUILTINS(ARK_TEXT_BUILTIN)
+#undef ARK_TEXT_BUILTIN
+        out += kCompileFlags;
+        return out;
+    }();
+    return text;
+}
+
 std::string
 emitKernelC(const LaneTape &tape)
 {
@@ -308,43 +372,12 @@ emitKernelC(const LaneTape &tape)
     std::string src;
     src.reserve(256 + tape.size() * 64);
 
-    // Helpers mirror expr/builtins.cc line for line; the sat_ni scale
-    // is the host-computed std::tanh(1.2) emitted exactly, so the
-    // division matches the interpreter's cached divisor bit-for-bit
-    // (a compile-time tanh() fold could round differently).
     src += "/* ark JIT kernel: width ";
     src += std::to_string(w);
     src += ", ";
     src += std::to_string(tape.size());
     src += " ops */\n";
-    src += "#include <math.h>\n\n";
-    src += "static double ark_sgn(double x)\n"
-           "{ return x > 0.0 ? 1.0 : (x < 0.0 ? -1.0 : 0.0); }\n\n";
-    src += "static double ark_sat(double x)\n"
-           "{ return 0.5 * (fabs(x + 1.0) - fabs(x - 1.0)); }\n\n";
-    src += "static double ark_sat_ni(double x)\n{ return tanh(1.2 * x)"
-           " / " + hexLiteral(std::tanh(1.2)) + "; }\n\n";
-    src += "static double ark_pulse(double t, double start, "
-           "double width)\n"
-           "{\n"
-           "    if (width <= 0.0)\n"
-           "        return 0.0;\n"
-           "    double ramp = 0.05 * width;\n"
-           "    double rel = t - start;\n"
-           "    if (rel <= 0.0 || rel >= width)\n"
-           "        return 0.0;\n"
-           "    if (rel < ramp)\n"
-           "        return rel / ramp;\n"
-           "    if (rel > width - ramp)\n"
-           "        return (width - rel) / ramp;\n"
-           "    return 1.0;\n"
-           "}\n\n";
-
-    src += "void " + std::string(kKernelSymbol) +
-           "(const double *restrict state, double t,\n"
-           "                double *restrict out, "
-           "const double *restrict consts)\n{\n";
-    src += "    (void)state; (void)t; (void)consts;\n";
+    src += kernelPrelude();
 
     // Lane-major: one outer loop over lanes, with the whole program —
     // one statement per tape op, in stream order — as its body over a
@@ -379,79 +412,20 @@ emitKernelC(const LaneTape &tape)
           case OpCode::LoadState:
             stmt = reg(op.dst) + " = " + slot("state", op.a);
             break;
-          case OpCode::Neg:
-            stmt = reg(op.dst) + " = -" + reg(op.a);
-            break;
-          case OpCode::Add:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " + " + reg(op.b);
-            break;
-          case OpCode::Sub:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " - " + reg(op.b);
-            break;
-          case OpCode::Mul:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " * " + reg(op.b);
-            break;
-          case OpCode::Div:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " / " + reg(op.b);
-            break;
-          case OpCode::Lt:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " < " + reg(op.b) +
-                   " ? 1.0 : 0.0";
-            break;
-          case OpCode::Le:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " <= " +
-                   reg(op.b) + " ? 1.0 : 0.0";
-            break;
-          case OpCode::Gt:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " > " + reg(op.b) +
-                   " ? 1.0 : 0.0";
-            break;
-          case OpCode::Ge:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " >= " +
-                   reg(op.b) + " ? 1.0 : 0.0";
-            break;
-          case OpCode::EqOp:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " == " +
-                   reg(op.b) + " ? 1.0 : 0.0";
-            break;
-          case OpCode::NeOp:
-            stmt = reg(op.dst) + " = " + reg(op.a) + " != " +
-                   reg(op.b) + " ? 1.0 : 0.0";
-            break;
-          case OpCode::AndOp:
-            stmt = reg(op.dst) + " = (" + reg(op.a) + " != 0.0 && " +
-                   reg(op.b) + " != 0.0) ? 1.0 : 0.0";
-            break;
-          case OpCode::OrOp:
-            stmt = reg(op.dst) + " = (" + reg(op.a) + " != 0.0 || " +
-                   reg(op.b) + " != 0.0) ? 1.0 : 0.0";
-            break;
-          case OpCode::NotOp:
-            stmt = reg(op.dst) + " = " + reg(op.a) +
-                   " == 0.0 ? 1.0 : 0.0";
-            break;
-          case OpCode::Select:
-            stmt = reg(op.dst) + " = " + reg(op.c) + " != 0.0 ? " +
-                   reg(op.a) + " : " + reg(op.b);
-            break;
-          case OpCode::FusedMulAdd:
-            stmt = reg(op.dst) + " = fma(" + reg(op.a) + ", " +
-                   reg(op.b) + ", " + reg(op.c) + ")";
-            break;
-          case OpCode::CallB: {
-            std::vector<std::string> args;
-            if (op.a >= 0)
-                args.push_back(reg(op.a));
-            if (op.b >= 0)
-                args.push_back(reg(op.b));
-            if (op.c >= 0)
-                args.push_back(reg(op.c));
-            stmt = reg(op.dst) + " = " + builtinCall(op.builtin, args);
-            break;
-          }
           case OpCode::WriteOutput:
             stmt = slot("out", op.dst) + " = " + reg(op.a);
             break;
+          default: {
+            const std::string operands[3] = {
+                op.a >= 0 ? reg(op.a) : std::string{},
+                op.b >= 0 ? reg(op.b) : std::string{},
+                op.c >= 0 ? reg(op.c) : std::string{}};
+            const char *spelling = op.op == OpCode::CallB
+                                       ? builtinSpelling(op.builtin)
+                                       : opSpelling(op.op);
+            stmt = reg(op.dst) + " = " + instantiate(spelling, operands);
+            break;
+          }
         }
         src += "        " + stmt + ";\n";
     }
@@ -477,8 +451,8 @@ compileKernel(const LaneTape &tape, const std::string &cacheKey)
                 return kernel;
             }
             // Corrupt entry (torn write, foreign file): drop it and
-            // fall through to a fresh compile. Stale-by-construction
-            // is impossible — the emitter version is in the key.
+            // fall through to a fresh compile. A stale entry cannot
+            // match: the key hashes kernelEmitterText().
             fs::remove(cachedSo, ec);
         }
     }

@@ -14,10 +14,12 @@
  * (plus value-preserving vectorize/unroll/host-ISA flags), dlopened,
  * and called through one function pointer per step. This removes both
  * the per-instruction dispatch the interpreter pays and its strided
- * inter-op register spills, while keeping every IEEE operation,
- * operand order, and libm call identical per lane, so kernel results
- * are bit-identical to LaneTape::evalInto (regression-tested in
- * tests/jit_test.cc across random TLN/OBC/CNN programs at every
+ * inter-op register spills. Each statement is the C spelling of the
+ * instruction's ISA row (expr/tape.h), the same row the interpreters
+ * expand, so every IEEE operation, operand order, and libm call is
+ * identical per lane and kernel results are bit-identical to
+ * LaneTape::evalInto (regression-tested in tests/jit_test.cc: every
+ * ISA row on edge values, and random TLN/OBC/CNN programs at every
  * width, with and without FMA contraction).
  *
  * Every integration block requests its kernel the same way (sim.cc's
@@ -110,6 +112,15 @@ bool jitEnabled(bool optionValue);
  * False means compileKernel will always return null.
  */
 bool jitToolchainAvailable();
+
+/**
+ * The emitter's fixed text: the kernel prelude (libm, the sat_ni
+ * divisor, the ISA helper functions, the kernel signature), the C
+ * spelling of every ISA row (expr/tape.h), and the compile flags.
+ * Built once per process. engine::kernelKey hashes it, so an edit to
+ * any of these retires every kernel already cached on disk.
+ */
+const std::string &kernelEmitterText();
 
 /**
  * The C translation unit for `tape`'s kernel (exposed for tests).

@@ -7,7 +7,7 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "expr/tape_exec.h"
+#include "expr/builtins.h"
 #include "support/error.h"
 #include "support/logging.h"
 
@@ -192,26 +192,13 @@ class Fuser
             return a;
 
         // Full constant folding: every operand is a literal.
-        double operands[3];
-        TapeOp probe{op, builtin, 0, -1, -1, -1, 0.0};
-        int n = 0;
-        for (int src : {a, b, c}) {
-            if (src < 0)
-                continue;
-            if (!isConst(src, &operands[n]))
+        double operands[3] = {0.0, 0.0, 0.0};
+        const int ids[3] = {a, b, c};
+        for (int k = 0; k < 3; ++k)
+            if (ids[k] >= 0 && !isConst(ids[k], &operands[k]))
                 return -1;
-            ++n;
-        }
-        if (n > 0)
-            probe.a = 0;
-        if (n > 1)
-            probe.b = 1;
-        if (n > 2)
-            probe.c = 2;
-        // Select reads (a, b, c) positionally rather than packed.
-        if (op == OpCode::Select)
-            probe = TapeOp{op, builtin, 0, 0, 1, 2, 0.0};
-        double value = detail::execCompute(probe, nullptr, 0.0, operands);
+        double value = evalCompute(op, builtin, operands[0], operands[1],
+                                   operands[2]);
         return intern(OpCode::Const, Builtin::Sin, -1, -1, -1, value);
     }
 
@@ -489,12 +476,28 @@ FusedTape::evalInto(const double *state, double t, double *out,
 {
     assert(out != nullptr || numOutputs_ == 0);
     assert(regs != nullptr || numRegs_ == 0);
+    auto operand = [regs](std::int32_t r) {
+        return r >= 0 ? regs[r] : 0.0;
+    };
     for (const TapeOp &op : ops_) {
-        if (op.op == OpCode::WriteOutput) {
+        switch (op.op) {
+          case OpCode::Const:
+            regs[op.dst] = op.imm;
+            break;
+          case OpCode::LoadTime:
+            regs[op.dst] = t;
+            break;
+          case OpCode::LoadState:
+            regs[op.dst] = state[op.a];
+            break;
+          case OpCode::WriteOutput:
             out[op.dst] = regs[op.a];
-            continue;
+            break;
+          default:
+            regs[op.dst] = evalCompute(op.op, op.builtin, operand(op.a),
+                                       operand(op.b), operand(op.c));
+            break;
         }
-        regs[op.dst] = detail::execCompute(op, state, t, regs);
     }
 }
 

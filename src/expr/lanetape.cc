@@ -1,10 +1,8 @@
 #include "expr/lanetape.h"
 
 #include <cassert>
-#include <cmath>
 #include <limits>
 
-#include "expr/builtins.h"
 #include "expr/fusedtape.h"
 #include "support/faultinject.h"
 #include "support/logging.h"
@@ -117,10 +115,34 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
                     double *regs) const
 {
     const double *ctab = constants_.data();
+    auto at = [](const double *base, std::int32_t index) {
+        return base + static_cast<std::size_t>(index) * W;
+    };
+    // One ISA row (expr/tape.h) as a loop over the W lanes. Operand
+    // pointers past the row's arity are never formed from the -1
+    // slots. Builtins call libm per lane, so their lane win is the
+    // amortized dispatch.
+#define ARK_LANE_LOOP(arity, ...)                                      \
+    {                                                                  \
+        const double *a = at(regs, op.a);                              \
+        const double *b = (arity) > 1 ? at(regs, op.b) : a;            \
+        const double *c = (arity) > 2 ? at(regs, op.c) : a;            \
+        for (int l = 0; l < W; ++l) {                                  \
+            [[maybe_unused]] const double A = a[l], B = b[l], C = c[l]; \
+            d[l] = __VA_ARGS__;                                        \
+        }                                                              \
+        break;                                                         \
+    }
+#define ARK_LANE_OP(name, arity, ...)                                  \
+      case OpCode::name:                                               \
+        ARK_LANE_LOOP(arity, __VA_ARGS__)
+#define ARK_LANE_BUILTIN(name, spelling, arity, ...)                   \
+      case Builtin::name:                                              \
+        ARK_LANE_LOOP(arity, __VA_ARGS__)
     for (const TapeOp &op : ops_) {
         if (op.op == OpCode::WriteOutput) {
             double *o = out + static_cast<std::size_t>(op.dst) * W;
-            const double *s = regs + static_cast<std::size_t>(op.a) * W;
+            const double *s = at(regs, op.a);
             for (int l = 0; l < W; ++l)
                 o[l] = s[l];
             continue;
@@ -128,7 +150,7 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
         double *d = regs + static_cast<std::size_t>(op.dst) * W;
         switch (op.op) {
           case OpCode::Const: {
-            const double *s = ctab + static_cast<std::size_t>(op.a) * W;
+            const double *s = at(ctab, op.a);
             for (int l = 0; l < W; ++l)
                 d[l] = s[l];
             break;
@@ -138,150 +160,24 @@ LaneTape::evalIntoT(const double *state, double t, double *out,
                 d[l] = t;
             break;
           case OpCode::LoadState: {
-            const double *s = state + static_cast<std::size_t>(op.a) * W;
+            const double *s = at(state, op.a);
             for (int l = 0; l < W; ++l)
                 d[l] = s[l];
             break;
           }
-          case OpCode::Neg: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = -a[l];
-            break;
-          }
-          case OpCode::Add: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] + b[l];
-            break;
-          }
-          case OpCode::Sub: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] - b[l];
-            break;
-          }
-          case OpCode::Mul: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] * b[l];
-            break;
-          }
-          case OpCode::Div: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] / b[l];
-            break;
-          }
-          case OpCode::Lt: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] < b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::Le: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] <= b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::Gt: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] > b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::Ge: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] >= b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::EqOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] == b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::NeOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] != b[l] ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::AndOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = (a[l] != 0.0 && b[l] != 0.0) ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::OrOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = (a[l] != 0.0 || b[l] != 0.0) ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::NotOp: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = a[l] == 0.0 ? 1.0 : 0.0;
-            break;
-          }
-          case OpCode::Select: {
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            const double *c = regs + static_cast<std::size_t>(op.c) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = c[l] != 0.0 ? a[l] : b[l];
-            break;
-          }
-          case OpCode::FusedMulAdd: {
-            // Same std::fma the scalar executor uses: one rounding per
-            // lane, bit-identical to scalar FusedTape evaluation. On
-            // FMA hosts (ARK_ENABLE_NATIVE) this lowers to the fused
-            // instruction; baseline ISAs call libm's soft-fma.
-            const double *a = regs + static_cast<std::size_t>(op.a) * W;
-            const double *b = regs + static_cast<std::size_t>(op.b) * W;
-            const double *c = regs + static_cast<std::size_t>(op.c) * W;
-            for (int l = 0; l < W; ++l)
-                d[l] = std::fma(a[l], b[l], c[l]);
-            break;
-          }
-          case OpCode::CallB: {
-            // Builtins stay scalar per lane (libm calls); the lane win
-            // here is only the amortized dispatch.
-            for (int l = 0; l < W; ++l) {
-                double argv[3];
-                int n = 0;
-                if (op.a >= 0)
-                    argv[n++] = regs[static_cast<std::size_t>(op.a) * W +
-                                     static_cast<std::size_t>(l)];
-                if (op.b >= 0)
-                    argv[n++] = regs[static_cast<std::size_t>(op.b) * W +
-                                     static_cast<std::size_t>(l)];
-                if (op.c >= 0)
-                    argv[n++] = regs[static_cast<std::size_t>(op.c) * W +
-                                     static_cast<std::size_t>(l)];
-                d[l] = evalBuiltin(op.builtin, argv, n);
+          ARK_TAPE_OPS(ARK_LANE_OP)
+          case OpCode::CallB:
+            switch (op.builtin) {
+                ARK_TAPE_BUILTINS(ARK_LANE_BUILTIN)
             }
             break;
-          }
           case OpCode::WriteOutput:
             break; // handled above
         }
     }
+#undef ARK_LANE_BUILTIN
+#undef ARK_LANE_OP
+#undef ARK_LANE_LOOP
 }
 
 void

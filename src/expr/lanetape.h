@@ -31,9 +31,10 @@
  * batch integrator's divergence masking relies on.
  *
  * Numerics: every lane executes the exact instruction sequence of the
- * source FusedTape with the same IEEE operations in the same order, so
- * lane results are bit-identical to scalar FusedTape::evalInto on the
- * same state (builtin calls included; they evaluate per lane).
+ * source FusedTape, each instruction expanded from the same ISA row
+ * (expr/tape.h) as the scalar executor, so lane results are
+ * bit-identical to FusedTape::evalInto on the same state (builtin
+ * calls included; they evaluate per lane).
  */
 
 #include <cstddef>

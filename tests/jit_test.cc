@@ -24,7 +24,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -37,8 +42,10 @@
 #include "engine/fingerprint.h"
 #include "engine/jit.h"
 #include "expr/cjit.h"
+#include "expr/eval.h"
 #include "expr/fusedtape.h"
 #include "expr/lanetape.h"
+#include "expr/tape.h"
 #include "paradigms/cnn.h"
 #include "paradigms/obc.h"
 #include "paradigms/standard.h"
@@ -58,6 +65,7 @@ using expr::Expr;
 using expr::ExprPtr;
 using expr::FusedTape;
 using expr::LaneTape;
+using expr::OpCode;
 
 /** dq0 = sin(q0 - q1) * q1, dq1 = q0 / (q1 + 3) + t. */
 FusedTape
@@ -556,6 +564,254 @@ TEST_F(JitTest, DiskCachePersistsWarmLoadsAndHealsCorruption)
                 tape.constants().data());
     for (std::size_t i = 0; i < m; ++i)
         EXPECT_EQ(actual[i], expected[i]) << "slot " << i;
+}
+
+/** One ISA row under test: a name and the expression exercising it. */
+struct IsaRow
+{
+    std::string name;
+    OpCode op;
+    expr::Builtin builtin;
+    ExprPtr e; ///< Over A, B, C = state slots 0, 1, 2.
+};
+
+/**
+ * The expression exercising a compute opcode on A, B, C. Logic ops
+ * take comparison operands and Select a comparison condition, so the
+ * tree interpreter (which wants bools there) can evaluate them too.
+ * FusedMulAdd has no interpreter form; the caller contracts A*B+C.
+ */
+ExprPtr
+opRowExpr(OpCode op)
+{
+    const ExprPtr a = Expr::stateVar(0);
+    const ExprPtr b = Expr::stateVar(1);
+    const ExprPtr c = Expr::stateVar(2);
+    auto bin = [](BinOp o, const ExprPtr &x, const ExprPtr &y) {
+        return Expr::binary(o, x, y);
+    };
+    switch (op) {
+      case OpCode::Neg: return Expr::unary(expr::UnOp::Neg, a);
+      case OpCode::Add: return bin(BinOp::Add, a, b);
+      case OpCode::Sub: return bin(BinOp::Sub, a, b);
+      case OpCode::Mul: return bin(BinOp::Mul, a, b);
+      case OpCode::Div: return bin(BinOp::Div, a, b);
+      case OpCode::Lt: return bin(BinOp::Lt, a, b);
+      case OpCode::Le: return bin(BinOp::Le, a, b);
+      case OpCode::Gt: return bin(BinOp::Gt, a, b);
+      case OpCode::Ge: return bin(BinOp::Ge, a, b);
+      case OpCode::EqOp: return bin(BinOp::Eq, a, b);
+      case OpCode::NeOp: return bin(BinOp::Ne, a, b);
+      case OpCode::AndOp:
+        return bin(BinOp::And, bin(BinOp::Lt, a, c), bin(BinOp::Gt, b, c));
+      case OpCode::OrOp:
+        return bin(BinOp::Or, bin(BinOp::Lt, a, c), bin(BinOp::Gt, b, c));
+      case OpCode::NotOp:
+        return Expr::unary(expr::UnOp::Not, bin(BinOp::Lt, a, b));
+      case OpCode::Select:
+        return Expr::ifThenElse(bin(BinOp::Ne, c, Expr::real(0.0)), a, b);
+      case OpCode::FusedMulAdd:
+        return bin(BinOp::Add, bin(BinOp::Mul, a, b), c);
+      default:
+        return nullptr;
+    }
+}
+
+/** Every row of the ISA tables, so a new row is covered unasked. */
+std::vector<IsaRow>
+isaRows()
+{
+    std::vector<IsaRow> rows;
+#define ISA_TEST_OP(name, arity, ...)                                  \
+    rows.push_back({#name, OpCode::name, expr::Builtin::Sin,           \
+                    opRowExpr(OpCode::name)});
+    ARK_TAPE_OPS(ISA_TEST_OP)
+#undef ISA_TEST_OP
+    const std::vector<ExprPtr> abc{Expr::stateVar(0), Expr::stateVar(1),
+                                   Expr::stateVar(2)};
+#define ISA_TEST_BUILTIN(name, spelling, arity, ...)                   \
+    rows.push_back(                                                    \
+        {spelling, OpCode::CallB, expr::Builtin::name,                 \
+         Expr::call(spelling, std::vector<ExprPtr>(                    \
+                                  abc.begin(), abc.begin() + (arity)))});
+    ARK_TAPE_BUILTINS(ISA_TEST_BUILTIN)
+#undef ISA_TEST_BUILTIN
+    return rows;
+}
+
+/** Bit equality, except that any NaN matches any NaN. */
+bool
+sameBits(double x, double y)
+{
+    if (std::isnan(x) || std::isnan(y))
+        return std::isnan(x) && std::isnan(y);
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+using IsaGrid = std::vector<std::array<double, 3>>;
+
+/** One executor's outputs over a grid: values[point * outputs + k]. */
+struct TierValues
+{
+    std::string tier;
+    std::vector<double> values;
+};
+
+/**
+ * Runs `tape` at every grid point through FusedTape::evalInto,
+ * LaneTape at W=1 and W=8, and, when the host has a C toolchain, the
+ * JIT kernels of both lane programs.
+ */
+std::vector<TierValues>
+runIsaTiers(const FusedTape &tape, const IsaGrid &grid)
+{
+    const std::size_t n = tape.numOutputs();
+    std::vector<TierValues> tiers;
+    TierValues fused{"FusedTape", std::vector<double>(grid.size() * n)};
+    std::vector<double> regs(static_cast<std::size_t>(tape.numRegs()));
+    for (std::size_t p = 0; p < grid.size(); ++p)
+        tape.evalInto(grid[p].data(), 0.0, &fused.values[p * n],
+                      regs.data());
+    tiers.push_back(std::move(fused));
+
+    for (std::size_t width : {1u, 8u}) {
+        const LaneTape lane = LaneTape::broadcast(tape, width);
+        expr::JitKernelPtr kernel;
+        if (expr::jitToolchainAvailable()) {
+            kernel = expr::compileKernel(lane, "");
+            EXPECT_NE(kernel, nullptr) << "W=" << width;
+        }
+        const std::string w = std::to_string(width);
+        TierValues viaLane{"LaneTape W=" + w,
+                           std::vector<double>(grid.size() * n)};
+        TierValues viaJit{"JIT W=" + w,
+                          std::vector<double>(grid.size() * n)};
+        std::vector<double> state(std::max<std::size_t>(n, 3) * width);
+        std::vector<double> out(n * width);
+        std::vector<double> laneRegs(lane.scratchSize());
+        auto scatter = [&](std::size_t base, TierValues &into) {
+            for (std::size_t l = 0; l < width && base + l < grid.size();
+                 ++l)
+                for (std::size_t k = 0; k < n; ++k)
+                    into.values[(base + l) * n + k] = out[k * width + l];
+        };
+        for (std::size_t base = 0; base < grid.size(); base += width) {
+            // Padding lanes past the grid's end repeat its first point.
+            for (std::size_t l = 0; l < width; ++l) {
+                const std::size_t p =
+                    base + l < grid.size() ? base + l : base;
+                for (std::size_t i = 0; i < 3; ++i)
+                    state[i * width + l] = grid[p][i];
+            }
+            lane.evalInto(state.data(), 0.0, out.data(), laneRegs.data());
+            scatter(base, viaLane);
+            if (kernel != nullptr) {
+                kernel->call(state.data(), 0.0, out.data(),
+                             lane.constants().data());
+                scatter(base, viaJit);
+            }
+        }
+        tiers.push_back(std::move(viaLane));
+        if (kernel != nullptr)
+            tiers.push_back(std::move(viaJit));
+    }
+    return tiers;
+}
+
+std::string
+hexDouble(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+TEST(JitIsaTest, EveryRowAgreesAcrossTiersOnEdgeValues)
+{
+    // Every compute opcode and builtin of expr/tape.h, over a grid of
+    // signed zeros, infinities, NaN, denormal-adjacent and huge
+    // values: the tree interpreter (bools read as 1/0), FusedTape,
+    // LaneTape at W=1 and W=8, and the JIT kernels must agree bit for
+    // bit. FusedMulAdd comes from a fuseMulAdd compile of A*B+C; it
+    // has no interpreter form, so FusedTape is its reference. The
+    // kernel comparisons skip on hosts without a C toolchain.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<double> ab{0.0,    -0.0,   1.0,   -1.0, 0.5,
+                                 -2.5,   1e-300, 1e300, inf,  -inf,
+                                 nan,    0.05,   0.95};
+    IsaGrid grid;
+    for (double a : ab)
+        for (double b : ab)
+            for (double c : {0.0, 1.0, nan})
+                grid.push_back({a, b, c});
+
+    std::vector<IsaRow> plainRows;
+    std::vector<IsaRow> fmaRows;
+    for (IsaRow &row : isaRows()) {
+        ASSERT_NE(row.e, nullptr) << "no test expression for " << row.name;
+        (row.op == OpCode::FusedMulAdd ? fmaRows : plainRows)
+            .push_back(std::move(row));
+    }
+    ASSERT_EQ(fmaRows.size(), 1u);
+
+    std::size_t mismatches = 0;
+    std::size_t compared = 0;
+    auto check = [&](const std::vector<IsaRow> &rows, bool fuseMulAdd,
+                     bool interpreterIsReference) {
+        std::vector<ExprPtr> outputs;
+        for (const IsaRow &row : rows)
+            outputs.push_back(row.e);
+        const FusedTape tape = FusedTape::compile(outputs, fuseMulAdd);
+        // Each row's instruction must survive into the program.
+        for (const IsaRow &row : rows) {
+            EXPECT_TRUE(std::any_of(
+                tape.ops().begin(), tape.ops().end(),
+                [&](const expr::TapeOp &op) {
+                    return op.op == row.op &&
+                           (op.op != OpCode::CallB ||
+                            op.builtin == row.builtin);
+                }))
+                << row.name << " missing from the compiled program";
+        }
+        const std::vector<TierValues> tiers = runIsaTiers(tape, grid);
+        const std::size_t n = rows.size();
+        for (std::size_t p = 0; p < grid.size(); ++p) {
+            expr::EvalContext ctx;
+            ctx.lookupState = [&](int i) {
+                return grid[p][static_cast<std::size_t>(i)];
+            };
+            for (std::size_t k = 0; k < n; ++k) {
+                double reference = tiers[0].values[p * n + k];
+                std::string referenceTier = tiers[0].tier;
+                if (interpreterIsReference) {
+                    const expr::Value v = expr::eval(rows[k].e, ctx);
+                    reference = v.isBool() ? (v.asBool() ? 1.0 : 0.0)
+                                           : v.asReal();
+                    referenceTier = "interpreter";
+                }
+                for (const TierValues &tier : tiers) {
+                    const double got = tier.values[p * n + k];
+                    ++compared;
+                    if (sameBits(got, reference))
+                        continue;
+                    if (++mismatches <= 16) {
+                        ADD_FAILURE()
+                            << rows[k].name << "(" << hexDouble(grid[p][0])
+                            << ", " << hexDouble(grid[p][1]) << ", "
+                            << hexDouble(grid[p][2]) << "): "
+                            << referenceTier << " " << hexDouble(reference)
+                            << ", " << tier.tier << " " << hexDouble(got);
+                    }
+                }
+            }
+        }
+        return tape;
+    };
+    check(plainRows, false, true);
+    EXPECT_EQ(check(fmaRows, true, false).fmaContractions(), 1u);
+
+    EXPECT_EQ(mismatches, 0u) << "of " << compared << " comparisons";
 }
 
 } // namespace
