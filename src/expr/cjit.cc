@@ -25,6 +25,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/** The source text of a macro's expansion. */
+#define ARK_JIT_STR_(...) #__VA_ARGS__
+#define ARK_JIT_STR(...) ARK_JIT_STR_(__VA_ARGS__)
+
 /** Compiled objects kept in the on-disk cache (entries, not bytes). */
 constexpr std::size_t kMaxDiskEntries = 256;
 
@@ -231,9 +235,10 @@ loadKernel(const std::string &path, const LaneTape &tape)
         tape.width(), tape.numOutputs());
 }
 
-/** C spelling of a compute opcode's ISA row (expr/tape.h). */
+/** C spelling of a compute instruction's ISA row (expr/tape.h);
+ *  `builtin` selects the row when op == CallB. */
 const char *
-opSpelling(OpCode op)
+rowSpelling(OpCode op, Builtin builtin)
 {
     switch (op) {
 #define ARK_SPELL_OP(name, arity, ...)                                 \
@@ -241,26 +246,20 @@ opSpelling(OpCode op)
         return #__VA_ARGS__;
         ARK_TAPE_OPS(ARK_SPELL_OP)
 #undef ARK_SPELL_OP
+      case OpCode::CallB:
+        switch (builtin) {
+#define ARK_SPELL_BUILTIN(name, spelling, arity, ...)                  \
+          case Builtin::name:                                          \
+            return #__VA_ARGS__;
+            ARK_TAPE_BUILTINS(ARK_SPELL_BUILTIN)
+#undef ARK_SPELL_BUILTIN
+        }
+        break;
       case OpCode::Const:
       case OpCode::LoadTime:
       case OpCode::LoadState:
-      case OpCode::CallB:
       case OpCode::WriteOutput:
         break;
-    }
-    return nullptr;
-}
-
-/** C spelling of a builtin's ISA row (expr/tape.h). */
-const char *
-builtinSpelling(Builtin id)
-{
-    switch (id) {
-#define ARK_SPELL_BUILTIN(name, spelling, arity, ...)                  \
-      case Builtin::name:                                              \
-        return #__VA_ARGS__;
-        ARK_TAPE_BUILTINS(ARK_SPELL_BUILTIN)
-#undef ARK_SPELL_BUILTIN
     }
     return nullptr;
 }
@@ -307,7 +306,7 @@ kernelPrelude()
         "#include <math.h>\n\n"
         "static const double ark_sat_ni_scale = " +
         hexLiteral(ark_sat_ni_scale) + ";\n\n" +
-        ARK_TAPE_STR(ARK_TAPE_HELPERS) "\n\n"
+        ARK_JIT_STR(ARK_TAPE_HELPERS) "\n\n"
         "void " + std::string(kKernelSymbol) +
         "(const double *restrict state, double t,\n"
         "                double *restrict out, "
@@ -420,10 +419,8 @@ emitKernelC(const LaneTape &tape)
                 op.a >= 0 ? reg(op.a) : std::string{},
                 op.b >= 0 ? reg(op.b) : std::string{},
                 op.c >= 0 ? reg(op.c) : std::string{}};
-            const char *spelling = op.op == OpCode::CallB
-                                       ? builtinSpelling(op.builtin)
-                                       : opSpelling(op.op);
-            stmt = reg(op.dst) + " = " + instantiate(spelling, operands);
+            stmt = reg(op.dst) + " = " +
+                   instantiate(rowSpelling(op.op, op.builtin), operands);
             break;
           }
         }

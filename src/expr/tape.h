@@ -116,10 +116,6 @@ namespace ark::expr {
         return 1.0;                                                    \
     }
 
-/** The source text of a macro's expansion (for the JIT emitter). */
-#define ARK_TAPE_STR_(...) #__VA_ARGS__
-#define ARK_TAPE_STR(...) ARK_TAPE_STR_(__VA_ARGS__)
-
 /** Identifies a builtin; doubles as the tape opcode payload. */
 enum class Builtin : std::uint8_t {
 #define ARK_TAPE_ENUM(name, spelling, arity, ...) name,
