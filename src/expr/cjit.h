@@ -100,7 +100,8 @@ using JitKernelPtr = std::shared_ptr<const JitKernel>;
 /**
  * Whether the JIT tier should run, folding the ARK_JIT_FORCE
  * environment override into the option value: "1"/"on"/"true" forces
- * the tier on (the non-gating CI job runs tier-1 this way),
+ * the tier on (the gating tier-1 CI job runs the suite once more
+ * this way),
  * "0"/"off"/"false" forces it off, anything else defers to
  * `optionValue` (SimOptions::jit).
  */

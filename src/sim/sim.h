@@ -148,8 +148,8 @@ struct SimOptions
      * without a usable toolchain (or when compilation fails, or
      * FaultSite::JitCompile is armed) execution silently falls back
      * to the interpreted tier. The ARK_JIT_FORCE environment variable
-     * overrides this flag in both directions (the non-gating CI job
-     * runs tier-1 with it set).
+     * overrides this flag in both directions (the gating tier-1 CI
+     * job runs the suite a second time with it set).
      */
     bool jit = false;
 };
