@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
+#include <stop_token>
+#include <utility>
 #include <vector>
 
 #include "apps/puf.h"
@@ -543,6 +546,84 @@ TEST_F(EngineTest, CachedSweepMatchesTransientBatchAndReusesFactors)
     EXPECT_TRUE(sameTransients(ablation, reference));
     EXPECT_EQ(uncachedStats.factorHits, 0u);
     EXPECT_EQ(uncachedStats.factorMisses, 0u);
+}
+
+TEST_F(EngineTest, CachedSweepHonorsProgressDeadlineAndStop)
+{
+    // The cached sweep under the three execution controls: a progress
+    // callback alone, an already-expired deadline, and a pre-requested
+    // stop. Each run must report exactly what TransientBatch reports
+    // under the same options (results, failure reasons, sample
+    // counts), and progress must tick once per instance — skipped and
+    // failed instances included — strictly increasing to the total.
+    const lang::Language &gmc = lang("gmc-tln");
+    std::vector<spice::MappedTln> mapped;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        mapped.push_back(sharedStructureLine(gmc, seed));
+    // Floating resistor pair: no factorization exists, so this slot
+    // fails on its own while the lines around it share factors.
+    spice::Netlist singular;
+    int na = singular.addNode("a");
+    int nb = singular.addNode("b");
+    singular.resistor("R", na, nb, 1.0);
+    std::vector<const spice::Netlist *> netlists;
+    for (const spice::MappedTln &m : mapped)
+        netlists.push_back(&m.netlist);
+    netlists.insert(netlists.begin() + 2, &singular);
+    const double t0 = 0.0, t1 = 1.05e-9, dt = 1e-11;
+
+    std::stop_source stopped;
+    stopped.request_stop();
+    enum class Control { Progress, Deadline, Stop };
+    for (Control control :
+         {Control::Progress, Control::Deadline, Control::Stop}) {
+        SCOPED_TRACE(static_cast<int>(control));
+        spice::TransientBatchOptions options;
+        options.numThreads = 2;
+        if (control == Control::Deadline)
+            options.deadline = std::chrono::steady_clock::now() -
+                               std::chrono::seconds(1);
+        if (control == Control::Stop)
+            options.stop = stopped.get_token();
+        std::vector<spice::TransientResult> reference =
+            spice::TransientBatch(options).run(netlists, t0, t1, dt);
+
+        std::vector<std::pair<std::size_t, std::size_t>> calls;
+        options.progress = [&](std::size_t done, std::size_t total) {
+            calls.emplace_back(done, total);
+        };
+        engine::ArtifactCache cache;
+        engine::Session session(
+            engine::SessionOptions{.caching = true, .cache = &cache});
+        std::vector<spice::TransientResult> cached =
+            session.runSweep(netlists, t0, t1, dt, options);
+        EXPECT_TRUE(sameTransients(cached, reference));
+        ASSERT_EQ(cached.size(), netlists.size());
+        for (std::size_t i = 0; i < cached.size(); ++i) {
+            if (control == Control::Progress) {
+                EXPECT_EQ(cached[i].ok(), netlists[i] != &singular);
+                continue;
+            }
+            ASSERT_FALSE(cached[i].ok()) << "instance " << i;
+            EXPECT_EQ(cached[i].failure->reason,
+                      control == Control::Deadline
+                          ? spice::TransientAbort::DeadlineExceeded
+                          : spice::TransientAbort::Cancelled);
+            EXPECT_EQ(cached[i].size(), 0u);
+        }
+
+        ASSERT_EQ(calls.size(), netlists.size());
+        std::size_t prev = 0, reachedTotal = 0;
+        for (auto [done, total] : calls) {
+            EXPECT_EQ(total, netlists.size());
+            EXPECT_GT(done, prev);
+            prev = done;
+            if (done == total)
+                ++reachedTotal;
+        }
+        EXPECT_EQ(prev, netlists.size());
+        EXPECT_EQ(reachedTotal, 1u);
+    }
 }
 
 TEST_F(EngineTest, SweepValidatesBatchConfiguration)
