@@ -1,67 +1,18 @@
 #include "engine/session.h"
 
 #include <atomic>
-#include <chrono>
-#include <exception>
+#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "compiler/compiler.h"
-#include "sim/batch.h"
 #include "support/error.h"
 #include "support/logging.h"
-#include "support/watchdog.h"
 #include "validator/validator.h"
 
 namespace ark::engine {
 
-using support::cat;
-using support::SimError;
-
 namespace {
-
-bool
-deadlinePassed(
-    const std::optional<std::chrono::steady_clock::time_point> &deadline)
-{
-    return deadline &&
-           std::chrono::steady_clock::now() >= *deadline;
-}
-
-/** Serialized (completed, total) dispatcher; free when callback empty
- *  (same contract as the TransientBatch-internal ticker — the cached
- *  sweep must report progress identically to the uncached one). */
-class ProgressTicker
-{
-  public:
-    ProgressTicker(
-        const std::function<void(std::size_t, std::size_t)> &callback,
-        std::size_t total, telemetry::StallWatchdog::Run *watchdog)
-        : callback_(callback), total_(total), watchdog_(watchdog)
-    {
-    }
-
-    void
-    tick()
-    {
-        if (watchdog_ != nullptr)
-            watchdog_->heartbeat();
-        if (!callback_)
-            return;
-        std::lock_guard lock(mutex_);
-        callback_(++completed_, total_);
-    }
-
-  private:
-    const std::function<void(std::size_t, std::size_t)> &callback_;
-    std::size_t total_;
-    telemetry::StallWatchdog::Run *watchdog_;
-    std::mutex mutex_;
-    std::size_t completed_ = 0;
-};
 
 /** True when a supervised ensemble retry can change the outcome. */
 bool
@@ -74,7 +25,7 @@ retryableSimFailure(const sim::SimFailure &failure)
 
 /** Tallies the terminal failure mix of a finished batch. */
 void
-countSimOutcomes(const std::vector<sim::SimResult> &results,
+countOutcomes(const std::vector<sim::SimResult> &results,
                  RunReport &report)
 {
     for (const sim::SimResult &result : results) {
@@ -92,7 +43,7 @@ countSimOutcomes(const std::vector<sim::SimResult> &results,
 }
 
 void
-countSweepOutcomes(const std::vector<spice::TransientResult> &results,
+countOutcomes(const std::vector<spice::TransientResult> &results,
                    RunReport &report)
 {
     for (const spice::TransientResult &result : results) {
@@ -140,6 +91,72 @@ flushReportCounters(const RunReport &report)
     budgetHits.add(report.budgetHits);
     deadlineHits.add(report.deadlineHits);
     cancelled.add(report.cancelled);
+}
+
+/**
+ * Resets `report` for a supervised run over `instances` and resolves
+ * its flight recorder: an explicitly configured ledger (run options
+ * first, then the session) captures the records; otherwise a
+ * reporting run gets its own, attached to the report so callers can
+ * export it without pre-wiring one.
+ */
+telemetry::RunLedger *
+beginReport(RunReport &report, std::size_t instances,
+            telemetry::RunLedger *configured, bool reporting)
+{
+    report = RunReport{};
+    report.instances = instances;
+    if (configured == nullptr && reporting) {
+        report.ledger = std::make_shared<telemetry::RunLedger>();
+        return report.ledger.get();
+    }
+    return configured;
+}
+
+/**
+ * Opens one record per first-attempt failure (recordOf[i] is instance
+ * i's record) and returns the failed positions `retryable` sends up
+ * the retry ladder.
+ */
+template <typename Result, typename Retryable>
+std::vector<std::size_t>
+openRecords(const std::vector<Result> &results, RunReport &report,
+            std::vector<std::size_t> &recordOf, Retryable retryable)
+{
+    recordOf.assign(results.size(), results.size());
+    std::vector<std::size_t> pending;
+    for (std::size_t i = 0; i < results.size(); ++i) {
+        if (results[i].ok())
+            continue;
+        ++report.firstAttemptFailures;
+        recordOf[i] = report.records.size();
+        report.records.emplace_back().index = i;
+        if (retryable(*results[i].failure))
+            pending.push_back(i);
+    }
+    return pending;
+}
+
+/**
+ * Closes a supervised run: settles every record as recovered or not
+ * (keeping the final failure message), tallies the terminal failure
+ * mix, and publishes the report's counters.
+ */
+template <typename Result>
+void
+closeReport(const std::vector<Result> &results, RunReport &report)
+{
+    for (RunReport::InstanceRecord &record : report.records) {
+        record.recovered = results[record.index].ok();
+        if (record.recovered)
+            ++report.recovered;
+        else {
+            ++report.unrecovered;
+            record.finalError = results[record.index].failure->message;
+        }
+    }
+    countOutcomes(results, report);
+    flushReportCounters(report);
 }
 
 } // namespace
@@ -212,260 +229,40 @@ Session::runSweep(const std::vector<const spice::Netlist *> &netlists,
     spice::TransientBatchOptions effective = options;
     if (effective.ledger == nullptr)
         effective.ledger = options_.ledger;
-    if (!options_.caching || !effective.sparse) {
-        // Dense path and the caching=false ablation delegate to the
-        // in-sweep engine: factor sharing within the sweep (sparse)
-        // but nothing carried across sweeps.
-        spice::TransientBatch batch(effective);
-        spice::TransientBatchStats batchStats;
-        std::vector<spice::TransientResult> results =
-            batch.run(netlists, t0, t1, dt, &batchStats);
-        if (stats)
-            stats->structureGroups = batchStats.structureGroups;
-        return results;
-    }
 
-    if (dt <= 0.0)
-        throw SimError(cat("Session sweep: dt must be positive, got ",
-                           dt));
-    if (t1 < t0)
-        throw SimError(cat("Session sweep: t1 (", t1, ") precedes t0 (",
-                           t0, ")"));
-    const std::size_t count = netlists.size();
-    std::vector<spice::TransientResult> results(count);
-    if (count == 0)
-        return results;
-    for (const spice::Netlist *netlist : netlists)
-        support::panicIf(netlist == nullptr,
-                         "Session sweep: null netlist");
-
-    // Phase 1: assemble + fingerprint every netlist. Assembly rejects
-    // land as structured BadInput failures, exactly like
-    // TransientBatch.
-    std::vector<std::unique_ptr<spice::SparseMnaSystem>> systems(count);
-    std::vector<MnaFingerprint> fps(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        try {
-            systems[i] =
-                std::make_unique<spice::SparseMnaSystem>(*netlists[i]);
-            fps[i] = fingerprintMna(*systems[i]);
-        } catch (const support::ArkError &error) {
-            results[i].failure = spice::detail::errorFailure(error, t0);
-        }
-    }
-
-    // Phase 2: group by structural fingerprint — O(n) against the
-    // quadratic sharesStructure scan — re-verifying each bucket match
-    // with sharesStructure so a hash collision can only split a
-    // group, never merge distinct structures.
-    std::vector<std::size_t> leaderOf(count, count);
-    std::vector<std::size_t> leaders;
-    std::unordered_map<Fingerprint, std::vector<std::size_t>,
-                       FingerprintHash>
-        buckets;
-    for (std::size_t i = 0; i < count; ++i) {
-        if (!systems[i])
-            continue;
-        std::vector<std::size_t> &bucket = buckets[fps[i].pattern];
-        for (std::size_t leader : bucket) {
-            if (systems[leader]->sharesStructure(*systems[i])) {
-                leaderOf[i] = leader;
-                break;
-            }
-        }
-        if (leaderOf[i] == count) {
-            leaders.push_back(i);
-            bucket.push_back(i);
-            leaderOf[i] = i;
-        }
-    }
-    if (stats)
-        stats->structureGroups = leaders.size();
-
-    // Phase 3 + 4: resolve each group's factored operators through
-    // the artifact cache and run the transients on the shared pool.
-    // Leader resolution is lazy under a per-leader once-flag so
-    // heterogeneous sweeps factor concurrently; a leader whose values
-    // are singular leaves no shared stepper and members fall back to
-    // standalone (self-pivot-sourced, still cached) factorizations.
-    const double finalH = spice::finalStepSize(t0, t1, dt);
-    ArtifactCache &artifacts = cache();
+    // The cache is a stepper source for the one sweep loop: each
+    // operator is addressed by (pattern, pivot-source values, bound
+    // values, dt, finalH), so a cached stepper holds exactly the bits
+    // the sweep would build — leader factors, a member's numeric
+    // rebind of them, or a standalone factorization. Fingerprints are
+    // taken inside the sweep's workers, off the serial phase.
     std::atomic<std::size_t> factorHits{0};
     std::atomic<std::size_t> factorMisses{0};
-    std::vector<StepperPtr> leaderStepper(count);
-    std::vector<std::unique_ptr<std::once_flag>> leaderOnce(count);
-    for (std::size_t leader : leaders)
-        leaderOnce[leader] = std::make_unique<std::once_flag>();
-
-    // Per-instance cache provenance for the flight recorder. A member
-    // that shares its leader's factors outright inherits the leader's
-    // outcome — the factors it runs with were resolved once for the
-    // whole group. 0 = no cache consult (slot failed before lookup).
-    constexpr std::uint8_t kNoLookup = 0, kHit = 1, kMiss = 2;
-    std::vector<std::uint8_t> cacheOutcome(
-        effective.ledger != nullptr ? count : 0, kNoLookup);
-    std::vector<std::uint8_t> leaderOutcome(
-        effective.ledger != nullptr ? count : 0, kNoLookup);
-
-    auto cachedStepper = [&](const Fingerprint &key,
-                             const std::function<StepperPtr()> &build,
-                             std::uint8_t *outcome) {
-        bool hit = false;
-        StepperPtr stepper = artifacts.stepper(key, build, &hit);
-        if (hit)
-            ++factorHits;
-        else
-            ++factorMisses;
-        if (outcome != nullptr)
-            *outcome = hit ? kHit : kMiss;
-        return stepper;
-    };
-    auto outcomeSlot = [&](std::vector<std::uint8_t> &slots,
-                           std::size_t i) -> std::uint8_t * {
-        return effective.ledger != nullptr ? &slots[i] : nullptr;
-    };
-
-    std::vector<std::exception_ptr> errors(count);
-    telemetry::StallWatchdog::Run watchdogRun("spice_sweep", count);
-    ProgressTicker progress(effective.progress, count, &watchdogRun);
-    const spice::TransientControl control{effective.stop,
-                                          effective.deadline};
-    const std::uint64_t ledgerRun =
-        effective.ledger != nullptr
-            ? effective.ledger->beginRun(
-                  telemetry::RunLedger::Workload::Spice, count)
-            : 0;
-    sim::BatchRunner::shared().parallelFor(
-        count, effective.numThreads, [&](std::size_t i) {
-            if (results[i].failure.has_value()) {
-                progress.tick(); // assembly already failed
-                return;
-            }
-            if (effective.stop.stop_requested()) {
-                // Skipped before starting: no samples at all.
-                results[i].failure = spice::detail::cancelledFailure(t0, 0);
-                progress.tick();
-                return;
-            }
-            if (deadlinePassed(effective.deadline)) {
-                results[i].failure = spice::detail::deadlineFailure(t0, 0);
-                progress.tick();
-                return;
-            }
-            const spice::SparseMnaSystem &system = *systems[i];
-            const std::size_t leader = leaderOf[i];
-            try {
-                std::call_once(*leaderOnce[leader], [&] {
-                    try {
-                        leaderStepper[leader] = cachedStepper(
-                            stepperKey(fps[leader], fps[leader].values,
-                                       fps[leader].values, dt, finalH),
-                            [&]() -> StepperPtr {
-                                auto built = std::make_shared<
-                                    spice::TransientStepper>(
-                                    *systems[leader], dt);
-                                built->prepareFinalStep(*systems[leader],
-                                                        finalH);
-                                return built;
-                            },
-                            outcomeSlot(leaderOutcome, leader));
-                    } catch (...) {
-                        // Leader factorization failed; members factor
-                        // standalone and report whatever recurs.
-                    }
-                });
-                StepperPtr stepper;
-                if (leaderStepper[leader] != nullptr &&
-                    system.sharesMatrixValues(*systems[leader])) {
-                    // Bit-identical matrices: share the leader's
-                    // factors outright.
-                    stepper = leaderStepper[leader];
-                    if (effective.ledger != nullptr)
-                        cacheOutcome[i] = leaderOutcome[leader];
-                } else if (leaderStepper[leader] != nullptr) {
-                    // Same structure, different values: the leader's
-                    // pivot order numerically rebound to this
-                    // instance — the exact factors TransientBatch
-                    // computes, addressed by (pattern, leader values,
-                    // instance values).
-                    stepper = cachedStepper(
-                        stepperKey(fps[i], fps[leader].values,
-                                   fps[i].values, dt, finalH),
-                        [&]() -> StepperPtr {
-                            auto rebound = std::make_shared<
-                                spice::TransientStepper>(
-                                *leaderStepper[leader]);
-                            rebound->rebind(system);
-                            return rebound;
-                        },
-                        outcomeSlot(cacheOutcome, i));
-                } else {
-                    stepper = cachedStepper(
-                        stepperKey(fps[i], fps[i].values, fps[i].values,
-                                   dt, finalH),
-                        [&]() -> StepperPtr {
-                            auto built = std::make_shared<
-                                spice::TransientStepper>(system, dt);
-                            built->prepareFinalStep(system, finalH);
-                            return built;
-                        },
-                        outcomeSlot(cacheOutcome, i));
-                }
-                results[i] = stepper->run(system, t0, t1, {}, control);
-            } catch (const support::ArkError &error) {
-                results[i].failure =
-                    spice::detail::errorFailure(error, t0);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-            progress.tick();
-        });
-    if (effective.ledger != nullptr) {
-        // Same flush point and record shape as TransientBatch's
-        // sparse path, plus the cache outcome only this path has.
-        std::vector<std::size_t> groupSize(count, 0);
-        for (std::size_t i = 0; i < count; ++i)
-            if (leaderOf[i] < count)
-                ++groupSize[leaderOf[i]];
-        for (std::size_t i = 0; i < count; ++i) {
-            if (errors[i])
-                continue;
-            const spice::TransientResult &result = results[i];
-            telemetry::RunLedger::Record record;
-            record.runId = ledgerRun;
-            record.index = i;
-            record.workload = telemetry::RunLedger::Workload::Spice;
-            record.tier = telemetry::RunLedger::Tier::Sparse;
-            record.blockId = leaderOf[i] < count ? leaderOf[i] : i;
-            record.lanes =
-                leaderOf[i] < count ? groupSize[leaderOf[i]] : 1;
-            record.stepsAccepted =
-                result.ok()
-                    ? (result.size() > 0 ? result.size() - 1 : 0)
-                    : result.failure->step;
-            record.cache =
-                cacheOutcome[i] == kHit
-                    ? telemetry::RunLedger::CacheOutcome::Hit
-                    : cacheOutcome[i] == kMiss
-                          ? telemetry::RunLedger::CacheOutcome::Miss
-                          : telemetry::RunLedger::CacheOutcome::None;
-            record.ok = result.ok();
-            if (result.failure.has_value()) {
-                record.failureReason =
-                    spice::transientAbortName(result.failure->reason);
-                record.failureMessage = result.failure->message;
-            }
-            effective.ledger->append(std::move(record));
-        }
+    spice::detail::StepperSource source;
+    if (options_.caching) {
+        source = [&, &artifacts = cache()](
+                     const spice::SparseMnaSystem &pivotSource,
+                     const spice::SparseMnaSystem &bound, double stepDt,
+                     double finalH,
+                     const std::function<StepperPtr()> &build) {
+            const MnaFingerprint fp = fingerprintMna(bound);
+            const Fingerprint pivotValues =
+                &pivotSource == &bound ? fp.values
+                                       : fingerprintMna(pivotSource).values;
+            spice::detail::StepperLookup lookup;
+            lookup.stepper = artifacts.stepper(
+                stepperKey(fp, pivotValues, fp.values, stepDt, finalH),
+                build, &lookup.hit);
+            ++(lookup.hit ? factorHits : factorMisses);
+            return lookup;
+        };
     }
-    for (std::exception_ptr &error : errors)
-        if (error)
-            std::rethrow_exception(error);
-
-    if (stats) {
-        stats->factorHits = factorHits.load();
-        stats->factorMisses = factorMisses.load();
-    }
+    spice::TransientBatchStats batchStats;
+    std::vector<spice::TransientResult> results = spice::detail::runSweep(
+        netlists, t0, t1, dt, effective, source, &batchStats);
+    if (stats)
+        *stats = SweepStats{batchStats.structureGroups, factorHits.load(),
+                            factorMisses.load()};
     return results;
 }
 
@@ -476,71 +273,32 @@ Session::runEnsemble(const std::vector<SystemPtr> &systems, double t0,
 {
     RunReport local;
     RunReport &rep = report ? *report : local;
-    rep = RunReport{};
-    rep.instances = systems.size();
-
-    // Flight-recorder resolution: an explicitly configured ledger
-    // (run options first, then the session) captures the records;
-    // otherwise a reporting supervised run gets its own, attached to
-    // the report so callers can export it without pre-wiring one.
     sim::EnsembleOptions opts = options;
-    if (opts.ledger == nullptr)
-        opts.ledger = options_.ledger;
-    if (opts.ledger == nullptr && report != nullptr) {
-        rep.ledger = std::make_shared<telemetry::RunLedger>();
-        opts.ledger = rep.ledger.get();
-    }
+    opts.ledger =
+        beginReport(rep, systems.size(),
+                    opts.ledger ? opts.ledger : options_.ledger,
+                    report != nullptr);
     telemetry::RunLedger *ledger = opts.ledger;
 
-    if (policy.maxAttempts <= 1) {
-        // Supervisor off: bit-identical to the plain overload,
-        // including the exception-rethrow contract.
-        std::vector<sim::SimResult> results =
-            runEnsemble(systems, t0, t1, opts);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (results[i].ok())
-                continue;
-            ++rep.firstAttemptFailures;
-            ++rep.unrecovered;
-            RunReport::InstanceRecord record;
-            record.index = i;
-            record.finalError = results[i].failure->message;
-            rep.records.push_back(std::move(record));
-        }
-        countSimOutcomes(results, rep);
-        flushReportCounters(rep);
-        return results;
-    }
-
-    // First attempt: the normal batch, but with faults captured as
-    // structured failures so they become retryable data.
+    // First attempt: the normal batch. With the supervisor on, faults
+    // are captured as structured failures so they become retryable
+    // data; off (maxAttempts 1), it is bit-identical to the plain
+    // overload, including the exception-rethrow contract.
     sim::EnsembleOptions firstOptions = opts;
-    firstOptions.structuredFaults = true;
+    if (policy.maxAttempts > 1)
+        firstOptions.structuredFaults = true;
     std::vector<sim::SimResult> results =
         runEnsemble(systems, t0, t1, firstOptions);
-
-    // One record per first-attempt failure; only the retryable subset
-    // climbs the ladder.
-    std::vector<std::size_t> recordOf(results.size(), results.size());
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].ok())
-            continue;
-        ++rep.firstAttemptFailures;
-        recordOf[i] = rep.records.size();
-        RunReport::InstanceRecord record;
-        record.index = i;
-        rep.records.push_back(std::move(record));
-        if (retryableSimFailure(*results[i].failure))
-            pending.push_back(i);
-    }
+    std::vector<std::size_t> recordOf;
+    std::vector<std::size_t> pending =
+        openRecords(results, rep, recordOf, retryableSimFailure);
 
     const double baseDt =
         options.sim.dt > 0.0 ? options.sim.dt : (t1 - t0) / 1000.0;
     for (int attempt = 2;
          attempt <= policy.maxAttempts && !pending.empty(); ++attempt) {
         if (options.stop.stop_requested() ||
-            deadlinePassed(options.deadline))
+            sim::detail::deadlinePassed(options.deadline))
             break; // the caller asked for the stop: no more attempts
 
         // Rung 0 is the pure scalar re-run (when retryScalar); each
@@ -615,17 +373,7 @@ Session::runEnsemble(const std::vector<SystemPtr> &systems, double t0,
         pending = std::move(still);
     }
 
-    for (RunReport::InstanceRecord &record : rep.records) {
-        record.recovered = results[record.index].ok();
-        if (record.recovered)
-            ++rep.recovered;
-        else {
-            ++rep.unrecovered;
-            record.finalError = results[record.index].failure->message;
-        }
-    }
-    countSimOutcomes(results, rep);
-    flushReportCounters(rep);
+    closeReport(results, rep);
     return results;
 }
 
@@ -638,38 +386,14 @@ Session::runSweep(const std::vector<const spice::Netlist *> &netlists,
 {
     RunReport local;
     RunReport &rep = report ? *report : local;
-    rep = RunReport{};
-    rep.instances = netlists.size();
-
-    // Flight-recorder resolution: same precedence as the supervised
-    // ensemble (run options, session, then a report-owned ledger).
     spice::TransientBatchOptions opts = options;
-    if (opts.ledger == nullptr)
-        opts.ledger = options_.ledger;
-    if (opts.ledger == nullptr && report != nullptr) {
-        rep.ledger = std::make_shared<telemetry::RunLedger>();
-        opts.ledger = rep.ledger.get();
-    }
+    opts.ledger =
+        beginReport(rep, netlists.size(),
+                    opts.ledger ? opts.ledger : options_.ledger,
+                    report != nullptr);
     telemetry::RunLedger *ledger = opts.ledger;
-
     std::vector<spice::TransientResult> results =
         runSweep(netlists, t0, t1, dt, opts, stats);
-
-    if (policy.maxAttempts <= 1) {
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            if (!results[i].failure)
-                continue;
-            ++rep.firstAttemptFailures;
-            ++rep.unrecovered;
-            RunReport::InstanceRecord record;
-            record.index = i;
-            record.finalError = results[i].failure->message;
-            rep.records.push_back(std::move(record));
-        }
-        countSweepOutcomes(results, rep);
-        flushReportCounters(rep);
-        return results;
-    }
 
     // SingularMatrix falls back to the dense transient (partial
     // pivoting succeeds where the sparse static-order refactorization
@@ -683,26 +407,15 @@ Session::runSweep(const std::vector<const spice::Netlist *> &netlists,
             return policy.relaxOnRetry;
         return false;
     };
-
-    std::vector<std::size_t> recordOf(results.size(), results.size());
-    std::vector<std::size_t> pending;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (!results[i].failure)
-            continue;
-        ++rep.firstAttemptFailures;
-        recordOf[i] = rep.records.size();
-        RunReport::InstanceRecord record;
-        record.index = i;
-        rep.records.push_back(std::move(record));
-        if (sweepRetryable(*results[i].failure))
-            pending.push_back(i);
-    }
+    std::vector<std::size_t> recordOf;
+    std::vector<std::size_t> pending =
+        openRecords(results, rep, recordOf, sweepRetryable);
 
     const spice::TransientControl control{options.stop, options.deadline};
     for (int attempt = 2;
          attempt <= policy.maxAttempts && !pending.empty(); ++attempt) {
         if (options.stop.stop_requested() ||
-            deadlinePassed(options.deadline))
+            sim::detail::deadlinePassed(options.deadline))
             break;
         double relaxedDt = dt;
         for (int r = 0; r < attempt - 1; ++r)
@@ -738,33 +451,18 @@ Session::runSweep(const std::vector<const spice::Netlist *> &netlists,
                     spice::detail::errorFailure(error, t0);
             }
             if (ledger != nullptr) {
-                // Serial retries bypass the batch engines, so the
-                // supervisor writes their records itself: standalone
-                // block, no cache consult, tier per the rung taken.
-                const spice::TransientResult &result = results[index];
-                telemetry::RunLedger::Record rec;
-                rec.runId = ledger->lastRunId();
-                rec.index = index;
-                rec.workload = telemetry::RunLedger::Workload::Spice;
-                rec.tier = denseRetry
-                               ? telemetry::RunLedger::Tier::Dense
-                               : telemetry::RunLedger::Tier::Sparse;
-                rec.blockId = index;
+                // Serial retries bypass the sweep, so the supervisor
+                // writes their records itself: standalone block, no
+                // cache consult, tier per the rung taken.
+                telemetry::RunLedger::Record rec = spice::detail::sweepRecord(
+                    results[index], ledger->lastRunId(), index,
+                    denseRetry ? telemetry::RunLedger::Tier::Dense
+                               : telemetry::RunLedger::Tier::Sparse);
                 rec.attempt = attempt;
                 rec.action =
                     denseRetry
                         ? telemetry::RunLedger::RetryAction::DenseFallback
                         : telemetry::RunLedger::RetryAction::RelaxedRetry;
-                rec.stepsAccepted =
-                    result.ok()
-                        ? (result.size() > 0 ? result.size() - 1 : 0)
-                        : result.failure->step;
-                rec.ok = result.ok();
-                if (result.failure.has_value()) {
-                    rec.failureReason = spice::transientAbortName(
-                        result.failure->reason);
-                    rec.failureMessage = result.failure->message;
-                }
                 ledger->append(std::move(rec));
             }
             if (results[index].failure &&
@@ -774,17 +472,7 @@ Session::runSweep(const std::vector<const spice::Netlist *> &netlists,
         pending = std::move(still);
     }
 
-    for (RunReport::InstanceRecord &record : rep.records) {
-        record.recovered = !results[record.index].failure.has_value();
-        if (record.recovered)
-            ++rep.recovered;
-        else {
-            ++rep.unrecovered;
-            record.finalError = results[record.index].failure->message;
-        }
-    }
-    countSweepOutcomes(results, rep);
-    flushReportCounters(rep);
+    closeReport(results, rep);
     return results;
 }
 

@@ -16,17 +16,17 @@
  *    sim::BatchRunner::shared() — lane batching, step voting, and
  *    thread-pool reuse all apply as documented in sim/batch.h.
  *
- *  - SPICE side: runSweep() is the cache-backed twin of
- *    spice::TransientBatch::run. Instances group by structural
- *    fingerprint (verified with sharesStructure, so hash collisions
- *    cannot merge distinct structures), each group's factored
- *    TransientStepper operators are fetched from the cache under
- *    stepperKey(pattern, leader values, instance values, dt, finalH),
- *    and transients execute on the shared worker pool. A repeated
- *    sweep (challenge batteries, re-validation) hits warm factors:
- *    zero symbolic analyses, zero numeric refactorizations. Results
- *    are bit-identical to the uncached TransientBatch path because
- *    cached factors carry their pivot-source in the key — a member
+ *  - SPICE side: runSweep() runs the one batched sweep of
+ *    spice/batch.h (the loop behind spice::TransientBatch::run) with
+ *    the artifact cache plugged in as its stepper source. Each
+ *    factored TransientStepper operator the sweep needs — a group
+ *    leader's, a member's numeric rebind of it, or a standalone one —
+ *    is fetched from the cache under stepperKey(pattern, pivot-source
+ *    values, bound values, dt, finalH) and built only on a miss. A
+ *    repeated sweep (challenge batteries, re-validation) hits warm
+ *    factors: zero symbolic analyses, zero numeric refactorizations.
+ *    Results are bit-identical to the uncached TransientBatch path
+ *    because the key carries the pivot source: a cached member
  *    stepper is always the leader's factors numerically rebound to
  *    the member's values, exactly what the uncached path computes.
  *
@@ -184,9 +184,8 @@ struct SweepStats
     /** Factored steppers served from the cache this sweep. */
     std::size_t factorHits = 0;
     /** Factored steppers built (symbolic or numeric factorization
-     *  work) this sweep. Hit/miss counters stay 0 on the delegated
-     *  paths (caching off, or the dense ablation), which do not
-     *  address factors by content. */
+     *  work) this sweep. Hit/miss counters stay 0 when no cache is
+     *  consulted (caching off, or the dense ablation). */
     std::size_t factorMisses = 0;
 };
 
@@ -242,13 +241,13 @@ class Session
 
     /**
      * Batched SPICE transient sweep over [t0, t1] with step dt from
-     * zero initial states, sampling every step — the cache-backed
-     * equivalent of spice::TransientBatch::run with identical result
-     * semantics (positional ordering, structured per-instance
-     * failures, SimError on batch-level misconfiguration) and
-     * bit-identical samples. options.sparse = false delegates to the
-     * dense ablation path (never cached — dense factorizations are
-     * not reusable artifacts).
+     * zero initial states, sampling every step — spice::TransientBatch
+     * ::run with the cache as its stepper source, so result semantics
+     * (positional ordering, structured per-instance failures, SimError
+     * on batch-level misconfiguration, progress/stop/deadline) and
+     * samples are identical. options.sparse = false runs the dense
+     * ablation path (never cached — dense factorizations are not
+     * reusable artifacts).
      */
     std::vector<spice::TransientResult>
     runSweep(const std::vector<const spice::Netlist *> &netlists,

@@ -433,9 +433,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
                 for (std::size_t member : members)
                     results[member] = cancelledResult(t0);
                 laneDone(members.size());
-            } else if (options.deadline &&
-                       std::chrono::steady_clock::now() >=
-                           *options.deadline) {
+            } else if (detail::deadlinePassed(options.deadline)) {
                 for (std::size_t member : members)
                     results[member] = deadlineResult(t0);
                 laneDone(members.size());

@@ -163,13 +163,7 @@ struct VoteStats
 };
 
 using Deadline = std::optional<std::chrono::steady_clock::time_point>;
-
-bool
-deadlinePassed(const Deadline &deadline)
-{
-    return deadline &&
-           std::chrono::steady_clock::now() >= *deadline;
-}
+using detail::deadlinePassed;
 
 /**
  * One lane block's RHS, routed through the JIT native kernel when
@@ -924,6 +918,12 @@ detail::faultFailure(double t, const std::string &what)
     failure.time = t;
     failure.message = cat("internal fault: ", what);
     return failure;
+}
+
+bool
+detail::deadlinePassed(const Deadline &deadline)
+{
+    return deadline && std::chrono::steady_clock::now() >= *deadline;
 }
 
 std::vector<SimResult>

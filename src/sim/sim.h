@@ -464,6 +464,14 @@ SimFailure budgetFailure(double t, std::size_t steps);
 SimFailure deadlineFailure(double t, std::size_t steps);
 SimFailure faultFailure(double t, const std::string &what);
 
+/**
+ * True once `deadline` is set and the steady clock has reached it —
+ * the one deadline test behind the ODE drivers, the ensemble runner,
+ * the SPICE sweep and the session supervisor.
+ */
+bool deadlinePassed(
+    const std::optional<std::chrono::steady_clock::time_point> &deadline);
+
 } // namespace detail
 
 } // namespace ark::sim

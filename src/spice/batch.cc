@@ -14,6 +14,8 @@
 
 namespace ark::spice {
 
+using detail::cancelledFailure;
+using detail::deadlineFailure;
 using support::cat;
 using support::SimError;
 
@@ -28,23 +30,38 @@ errorFailure(const support::ArkError &error, double t0)
     return TransientFailure{reason, 0, t0, error.message()};
 }
 
+telemetry::RunLedger::Record
+sweepRecord(const TransientResult &result, std::uint64_t runId,
+            std::size_t index, telemetry::RunLedger::Tier tier)
+{
+    telemetry::RunLedger::Record record;
+    record.runId = runId;
+    record.index = index;
+    record.workload = telemetry::RunLedger::Workload::Spice;
+    record.tier = tier;
+    record.blockId = index;
+    record.stepsAccepted =
+        result.ok() ? (result.size() > 0 ? result.size() - 1 : 0)
+                    : result.failure->step;
+    record.ok = result.ok();
+    if (result.failure.has_value()) {
+        record.failureReason = transientAbortName(result.failure->reason);
+        record.failureMessage = result.failure->message;
+    }
+    return record;
+}
+
 } // namespace detail
 
 namespace {
 
 using detail::errorFailure;
-
-bool
-deadlinePassed(
-    const std::optional<std::chrono::steady_clock::time_point> &deadline)
-{
-    return deadline &&
-           std::chrono::steady_clock::now() >= *deadline;
-}
+using detail::StepperLookup;
+using detail::StepperPtr;
 
 /**
- * Serialized (completed, total) progress dispatcher shared by both
- * batch paths; a default-constructed callback makes every tick free.
+ * Serialized (completed, total) progress dispatcher; a
+ * default-constructed callback makes every tick free.
  */
 class ProgressTicker
 {
@@ -74,14 +91,6 @@ class ProgressTicker
     std::mutex mutex_;
     std::size_t completed_ = 0;
 };
-
-void
-rethrowFirst(std::vector<std::exception_ptr> &errors)
-{
-    for (std::exception_ptr &error : errors)
-        if (error)
-            std::rethrow_exception(error);
-}
 
 /**
  * Groups assembled systems by shared structure. leaderOf[i] is the
@@ -113,6 +122,44 @@ groupByStructure(
     }
 }
 
+void
+recordGroups(std::size_t count, const std::vector<std::size_t> &leaderOf,
+             const std::vector<std::size_t> &leaders)
+{
+    if (!telemetry::metricsEnabled())
+        return;
+    static telemetry::Counter &sweeps =
+        telemetry::Registry::shared().counter("ark.spice.sweeps");
+    static telemetry::Counter &sweepInstances =
+        telemetry::Registry::shared().counter("ark.spice.sweep_instances");
+    static telemetry::Counter &groups =
+        telemetry::Registry::shared().counter("ark.spice.groups");
+    static telemetry::Histogram &groupSize =
+        telemetry::Registry::shared().histogram("ark.spice.group_size");
+    sweeps.add();
+    sweepInstances.add(count);
+    groups.add(leaders.size());
+    for (std::size_t leader : leaders) {
+        std::uint64_t members = 0;
+        for (std::size_t i = 0; i < count; ++i)
+            if (leaderOf[i] == leader)
+                ++members;
+        groupSize.record(members);
+    }
+}
+
+/** A fresh operator for `system`, with its final step prepared. */
+StepperPtr
+buildStepper(const SparseMnaSystem &system, double dt, double finalH)
+{
+    auto built = std::make_shared<TransientStepper>(system, dt);
+    // Non-divisible grids end on one fractional step; factor its
+    // operator once here so members share (or numerically refactor)
+    // it instead of one-off-factoring per instance.
+    built->prepareFinalStep(system, finalH);
+    return built;
+}
+
 } // namespace
 
 std::size_t
@@ -135,9 +182,9 @@ countStructureGroups(const std::vector<const Netlist *> &netlists)
 }
 
 std::vector<TransientResult>
-TransientBatch::run(const std::vector<const Netlist *> &netlists,
-                    double t0, double t1, double dt,
-                    TransientBatchStats *stats) const
+detail::runSweep(const std::vector<const Netlist *> &netlists, double t0,
+                 double t1, double dt, const TransientBatchOptions &options,
+                 const StepperSource &source, TransientBatchStats *stats)
 {
     if (stats)
         *stats = TransientBatchStats{};
@@ -159,78 +206,60 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
 
     std::vector<std::exception_ptr> errors(count);
     telemetry::StallWatchdog::Run watchdogRun("spice_sweep", count);
-    ProgressTicker progress(options_.progress, count, &watchdogRun);
-    const TransientControl control{options_.stop, options_.deadline};
+    ProgressTicker progress(options.progress, count, &watchdogRun);
+    const TransientControl control{options.stop, options.deadline};
+    // Per-instance prelude shared by both solve paths: a slot that
+    // already failed (assembly), a requested stop, or a passed
+    // deadline skips `body`; errors become structured failures (or are
+    // rethrown after the sweep when they are not Ark errors); every
+    // instance ticks progress exactly once.
+    auto runInstance = [&](std::size_t i, const auto &body) {
+        if (results[i].failure.has_value()) {
+            // Nothing to run: assembly already failed.
+        } else if (options.stop.stop_requested()) {
+            // Skipped before starting: no samples at all.
+            results[i].failure = cancelledFailure(t0, 0);
+        } else if (sim::detail::deadlinePassed(options.deadline)) {
+            results[i].failure = deadlineFailure(t0, 0);
+        } else {
+            try {
+                body();
+            } catch (const support::ArkError &error) {
+                results[i].failure = errorFailure(error, t0);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+        progress.tick();
+    };
+    auto rethrowFirst = [&] {
+        for (std::exception_ptr &error : errors)
+            if (error)
+                std::rethrow_exception(error);
+    };
     const std::uint64_t ledgerRun =
-        options_.ledger != nullptr
-            ? options_.ledger->beginRun(
+        options.ledger != nullptr
+            ? options.ledger->beginRun(
                   telemetry::RunLedger::Workload::Spice, count)
             : 0;
-    // Per-instance ledger flush shared by both solve paths: sample
-    // counts stand in for accepted steps (one sample per step plus
-    // the initial state), the structure-group leader is the block id
-    // on the sparse path, and failures carry their structured reason.
-    auto flushLedger = [&](telemetry::RunLedger::Tier tier,
-                           const std::vector<std::size_t> *leaderOf,
-                           const std::vector<std::size_t> *groupSize) {
-        if (options_.ledger == nullptr)
-            return;
-        for (std::size_t i = 0; i < count; ++i) {
-            if (errors[i])
-                continue;
-            const TransientResult &result = results[i];
-            telemetry::RunLedger::Record record;
-            record.runId = ledgerRun;
-            record.index = i;
-            record.workload = telemetry::RunLedger::Workload::Spice;
-            record.tier = tier;
-            record.blockId =
-                leaderOf != nullptr && (*leaderOf)[i] < count
-                    ? (*leaderOf)[i]
-                    : i; // unassemblable slots stand alone
-            record.lanes =
-                groupSize != nullptr && (*leaderOf)[i] < count
-                    ? (*groupSize)[(*leaderOf)[i]]
-                    : 1;
-            record.stepsAccepted =
-                result.ok()
-                    ? (result.size() > 0 ? result.size() - 1 : 0)
-                    : result.failure->step;
-            record.ok = result.ok();
-            if (result.failure.has_value()) {
-                record.failureReason =
-                    transientAbortName(result.failure->reason);
-                record.failureMessage = result.failure->message;
-            }
-            options_.ledger->append(std::move(record));
-        }
-    };
 
-    if (!options_.sparse) {
+    if (!options.sparse) {
         // Dense ablation path: independent assembly + transient per
         // instance, parallelized but with no factor sharing.
         sim::BatchRunner::shared().parallelFor(
-            count, options_.numThreads, [&](std::size_t i) {
-                if (options_.stop.stop_requested()) {
-                    // Skipped before starting: no samples at all.
-                    results[i].failure = detail::cancelledFailure(t0, 0);
-                } else if (deadlinePassed(options_.deadline)) {
-                    results[i].failure = detail::deadlineFailure(t0, 0);
-                } else {
-                    try {
-                        MnaSystem system(*netlists[i]);
-                        results[i] =
-                            transient(system, t0, t1, dt, {}, control);
-                    } catch (const support::ArkError &error) {
-                        results[i].failure = errorFailure(error, t0);
-                    } catch (...) {
-                        errors[i] = std::current_exception();
-                    }
-                }
-                progress.tick();
+            count, options.numThreads, [&](std::size_t i) {
+                runInstance(i, [&] {
+                    MnaSystem system(*netlists[i]);
+                    results[i] = transient(system, t0, t1, dt, {}, control);
+                });
             });
-        flushLedger(telemetry::RunLedger::Tier::Dense, nullptr, nullptr);
-        rethrowFirst(errors);
+        if (options.ledger != nullptr)
+            for (std::size_t i = 0; i < count; ++i)
+                if (!errors[i])
+                    options.ledger->append(sweepRecord(
+                        results[i], ledgerRun, i,
+                        telemetry::RunLedger::Tier::Dense));
+        rethrowFirst();
         return results;
     }
 
@@ -250,28 +279,7 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
     groupByStructure(systems, leaderOf, leaders);
     if (stats)
         stats->structureGroups = leaders.size();
-    if (telemetry::metricsEnabled()) {
-        static telemetry::Counter &sweeps =
-            telemetry::Registry::shared().counter("ark.spice.sweeps");
-        static telemetry::Counter &sweepInstances =
-            telemetry::Registry::shared().counter(
-                "ark.spice.sweep_instances");
-        static telemetry::Counter &groups =
-            telemetry::Registry::shared().counter("ark.spice.groups");
-        static telemetry::Histogram &groupSize =
-            telemetry::Registry::shared().histogram(
-                "ark.spice.group_size");
-        sweeps.add();
-        sweepInstances.add(count);
-        groups.add(leaders.size());
-        for (std::size_t leader : leaders) {
-            std::uint64_t members = 0;
-            for (std::size_t i = 0; i < count; ++i)
-                if (leaderOf[i] == leader)
-                    ++members;
-            groupSize.record(members);
-        }
-    }
+    recordGroups(count, leaderOf, leaders);
     telemetry::ScopedSpan sweepSpan("ark.spice.sweep", count);
 
     // Phase 3: each group leader's companion matrix is factored
@@ -281,47 +289,38 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
     // per-leader once-flag, so heterogeneous sweeps (many singleton
     // groups) factor concurrently instead of serializing up front. A
     // leader whose own values are singular leaves no shared stepper;
-    // members then factor individually.
-    std::vector<std::optional<TransientStepper>> leaderStepper(count);
+    // members then factor individually. Every operator comes through
+    // `lookup`: the source when there is one, else built in place.
+    const double finalH = finalStepSize(t0, t1, dt);
+    auto lookup = [&](const SparseMnaSystem &pivotSource,
+                      const SparseMnaSystem &bound,
+                      const std::function<StepperPtr()> &build) {
+        return source ? source(pivotSource, bound, dt, finalH, build)
+                      : StepperLookup{build(), false};
+    };
+    std::vector<StepperLookup> leaderStepper(count);
     std::vector<std::unique_ptr<std::once_flag>> leaderOnce(count);
     for (std::size_t leader : leaders)
         leaderOnce[leader] = std::make_unique<std::once_flag>();
+    // Per-instance cache provenance for the ledger; None when no
+    // source was consulted (no source, or the slot never ran).
+    using CacheOutcome = telemetry::RunLedger::CacheOutcome;
+    std::vector<CacheOutcome> cacheOutcome(count, CacheOutcome::None);
 
     // Phase 4: per-instance transient on the shared worker pool.
-    // NOTE: engine::Session::runSweep mirrors this leader/share/
-    // rebind/standalone resolution against its artifact cache and
-    // must keep reporting bit-identical results and failures —
-    // parity is pinned by engine_test; change both together.
     sim::BatchRunner::shared().parallelFor(
-        count, options_.numThreads, [&](std::size_t i) {
-            if (results[i].failure.has_value()) {
-                progress.tick(); // assembly already failed
-                return;
-            }
-            if (options_.stop.stop_requested()) {
-                // Skipped before starting: no samples at all.
-                results[i].failure = detail::cancelledFailure(t0, 0);
-                progress.tick();
-                return;
-            }
-            if (deadlinePassed(options_.deadline)) {
-                results[i].failure = detail::deadlineFailure(t0, 0);
-                progress.tick();
-                return;
-            }
-            const SparseMnaSystem &system = *systems[i];
-            const std::size_t leader = leaderOf[i];
-            try {
+        count, options.numThreads, [&](std::size_t i) {
+            runInstance(i, [&] {
+                const SparseMnaSystem &system = *systems[i];
+                const std::size_t leader = leaderOf[i];
+                const SparseMnaSystem &leaderSystem = *systems[leader];
                 std::call_once(*leaderOnce[leader], [&] {
                     try {
-                        leaderStepper[leader].emplace(*systems[leader],
-                                                      dt);
-                        // Non-divisible grids end on one fractional
-                        // step; factor its operator once here so
-                        // members share (or numerically refactor) it
-                        // instead of one-off-factoring per instance.
-                        leaderStepper[leader]->prepareFinalStep(
-                            *systems[leader], finalStepSize(t0, t1, dt));
+                        leaderStepper[leader] =
+                            lookup(leaderSystem, leaderSystem, [&] {
+                                return buildStepper(leaderSystem, dt,
+                                                    finalH);
+                            });
                     } catch (...) {
                         // Leader factorization failed (singular, out
                         // of memory, ...): leave no shared stepper;
@@ -329,41 +328,61 @@ TransientBatch::run(const std::vector<const Netlist *> &netlists,
                         // whatever recurs through its own handler.
                     }
                 });
-                std::optional<TransientStepper> own;
-                const TransientStepper *stepper = nullptr;
-                if (leaderStepper[leader].has_value() &&
-                    system.sharesMatrixValues(*systems[leader])) {
+                const StepperPtr &shared = leaderStepper[leader].stepper;
+                StepperLookup resolved;
+                if (shared && system.sharesMatrixValues(leaderSystem)) {
                     // Bit-identical matrices: share the leader's
                     // factors outright (solve is const/thread-safe).
-                    stepper = &*leaderStepper[leader];
-                } else if (leaderStepper[leader].has_value()) {
+                    resolved = leaderStepper[leader];
+                } else if (shared) {
                     // Same structure, different values: copy the
                     // symbolic skeleton and refactor numerically.
-                    own.emplace(*leaderStepper[leader]);
-                    own->rebind(system);
-                    stepper = &*own;
+                    resolved = lookup(leaderSystem, system, [&] {
+                        auto rebound =
+                            std::make_shared<TransientStepper>(*shared);
+                        rebound->rebind(system);
+                        return StepperPtr(std::move(rebound));
+                    });
                 } else {
-                    own.emplace(system, dt);
-                    stepper = &*own;
+                    resolved = lookup(system, system, [&] {
+                        return buildStepper(system, dt, finalH);
+                    });
                 }
-                results[i] = stepper->run(system, t0, t1, {}, control);
-            } catch (const support::ArkError &error) {
-                results[i].failure = errorFailure(error, t0);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-            progress.tick();
+                if (source)
+                    cacheOutcome[i] = resolved.hit ? CacheOutcome::Hit
+                                                   : CacheOutcome::Miss;
+                results[i] = resolved.stepper->run(system, t0, t1, {},
+                                                   control);
+            });
         });
-    if (options_.ledger != nullptr) {
+    if (options.ledger != nullptr) {
         std::vector<std::size_t> groupSize(count, 0);
         for (std::size_t i = 0; i < count; ++i)
             if (leaderOf[i] < count)
                 ++groupSize[leaderOf[i]];
-        flushLedger(telemetry::RunLedger::Tier::Sparse, &leaderOf,
-                    &groupSize);
+        for (std::size_t i = 0; i < count; ++i) {
+            if (errors[i])
+                continue;
+            telemetry::RunLedger::Record record = sweepRecord(
+                results[i], ledgerRun, i, telemetry::RunLedger::Tier::Sparse);
+            if (leaderOf[i] < count) { // unassemblable slots stand alone
+                record.blockId = leaderOf[i];
+                record.lanes = groupSize[leaderOf[i]];
+            }
+            record.cache = cacheOutcome[i];
+            options.ledger->append(std::move(record));
+        }
     }
-    rethrowFirst(errors);
+    rethrowFirst();
     return results;
+}
+
+std::vector<TransientResult>
+TransientBatch::run(const std::vector<const Netlist *> &netlists,
+                    double t0, double t1, double dt,
+                    TransientBatchStats *stats) const
+{
+    return detail::runSweep(netlists, t0, t1, dt, options_, {}, stats);
 }
 
 std::vector<TransientResult>

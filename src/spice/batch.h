@@ -4,11 +4,12 @@
 /**
  * @file
  * Batched SPICE transient execution — the circuit-side twin of the
- * ODE ensemble engine (sim/batch.h).
+ * ODE ensemble engine (sim/batch.h), and the one sweep loop every
+ * SPICE sweep runs through.
  *
  * A validation sweep runs hundreds of netlists that are mostly the
  * same circuit with different parameter values (mismatch-sampled
- * instances of one topology). TransientBatch exploits that:
+ * instances of one topology). The sweep exploits that:
  *
  *  1. every netlist is assembled into a SparseMnaSystem (CSR stamps);
  *  2. instances are grouped by structure (same unknowns, sparsity
@@ -22,6 +23,15 @@
  *  4. instances execute in parallel on sim::BatchRunner::shared()'s
  *     persistent worker pool via parallelFor — no per-call thread
  *     spawn.
+ *
+ * Where the factored operators of step 3 come from is pluggable: a
+ * detail::StepperSource is asked for each one (leader, rebound member,
+ * or standalone) and may serve it from elsewhere instead of building
+ * it. TransientBatch::run passes no source, so every operator is
+ * built in place; engine::Session::runSweep passes one backed by its
+ * content-addressed artifact cache. Everything else — grouping,
+ * execution control, progress, telemetry and the ledger — is this
+ * file's single loop.
  *
  * Failures are per-instance and structured (TransientResult::failure
  * with TransientAbort::BadInput / SingularMatrix / NonfiniteState /
@@ -40,37 +50,20 @@
  * deadline is returned untouched.
  *
  * Results are positionally ordered and independent of the thread
- * count; the sparse path matches the serial dense transient to
- * rounding (<= 1e-12 relative, property-tested).
+ * count and of the stepper source; the sparse path matches the serial
+ * dense transient to rounding (<= 1e-12 relative, property-tested).
  */
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "spice/mna.h"
 #include "spice/netlist.h"
 #include "support/error.h"
-
-namespace ark::telemetry {
-class RunLedger;
-}
+#include "support/ledger.h"
 
 namespace ark::spice {
-
-namespace detail {
-
-/**
- * Maps an assembly/factorization error to the structured per-instance
- * failure a sweep reports: ErrorKind::Sim (singular companion) ->
- * SingularMatrix, everything else -> BadInput. Shared between
- * TransientBatch and the engine layer's cache-backed sweep
- * (engine::Session::runSweep) so both report byte-identical failures
- * for the same event — their result parity is regression-tested in
- * engine_test.
- */
-TransientFailure errorFailure(const support::ArkError &error, double t0);
-
-} // namespace detail
 
 /** Controls for a batched transient sweep. */
 struct TransientBatchOptions
@@ -175,6 +168,66 @@ class TransientBatch
   private:
     TransientBatchOptions options_;
 };
+
+namespace detail {
+
+/**
+ * Maps an assembly/factorization error to the structured per-instance
+ * failure a sweep reports: ErrorKind::Sim (singular companion) ->
+ * SingularMatrix, everything else -> BadInput. Shared by the sweep
+ * and the session supervisor's serial retries so both report
+ * byte-identical failures for the same event.
+ */
+TransientFailure errorFailure(const support::ArkError &error, double t0);
+
+/**
+ * The ledger record of one finished sweep instance, as a standalone
+ * block: sample counts stand in for accepted steps (one sample per
+ * step plus the initial state) and failures carry their structured
+ * reason. The sweep's flush and the supervisor's retries both start
+ * from it and fill in what only they know (group, cache, attempt).
+ */
+telemetry::RunLedger::Record
+sweepRecord(const TransientResult &result, std::uint64_t runId,
+            std::size_t index, telemetry::RunLedger::Tier tier);
+
+using StepperPtr = std::shared_ptr<const TransientStepper>;
+
+/** A factored operator handed out by a StepperSource. */
+struct StepperLookup
+{
+    StepperPtr stepper;
+    bool hit = false; ///< Served without calling `build`.
+};
+
+/**
+ * Where the sweep gets a factored operator. Called with the system
+ * whose values choose the pivot order (the group leader, or the
+ * instance itself when it factors standalone), the system the factors
+ * are bound to, the step sizes they are prepared for (dt and the
+ * fractional final step), and a thunk that builds them. Must return
+ * exactly the bits `build` would — results may not depend on the
+ * source. Called concurrently from the sweep's workers; an exception
+ * fails the instance as one from `build` would.
+ */
+using StepperSource = std::function<StepperLookup(
+    const SparseMnaSystem &pivotSource, const SparseMnaSystem &bound,
+    double dt, double finalH, const std::function<StepperPtr()> &build)>;
+
+/**
+ * The batched sweep behind TransientBatch::run (no source: every
+ * operator built in place) and engine::Session::runSweep (a cached
+ * source). Same contract as TransientBatch::run; the dense path
+ * (options.sparse = false) ignores `source`. With a source, ledger
+ * records carry each instance's cache outcome; a member sharing its
+ * leader's factors inherits the leader's.
+ */
+std::vector<TransientResult>
+runSweep(const std::vector<const Netlist *> &netlists, double t0,
+         double t1, double dt, const TransientBatchOptions &options,
+         const StepperSource &source, TransientBatchStats *stats);
+
+} // namespace detail
 
 /**
  * Distinct structure groups a sweep of these netlists factors (the

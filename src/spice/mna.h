@@ -216,9 +216,10 @@ namespace detail {
 
 /**
  * Shared failure constructors for cancellation and deadline expiry:
- * the transient drivers and both sweep engines (TransientBatch,
- * engine::Session::runSweep) must report byte-identical failures for
- * the same event, so all of them build the failure here.
+ * the transient drivers and the batched sweep (spice/batch.h, behind
+ * both TransientBatch and engine::Session::runSweep) must report
+ * byte-identical failures for the same event, so all of them build
+ * the failure here.
  */
 TransientFailure cancelledFailure(double t, std::size_t step);
 TransientFailure deadlineFailure(double t, std::size_t step);
