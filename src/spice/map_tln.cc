@@ -45,10 +45,14 @@ waveformOf(const expr::Value &fnValue)
     if (fn.params.size() != 1)
         throw SemaError("TLN input functions take one argument (time)");
     expr::ExprPtr body = expr::applyLambda(fn, {expr::Expr::time()});
-    // Each call brings its own registers, so the waveform may be
-    // evaluated from several threads at once.
+    // Registers live per thread, so the waveform may be evaluated from
+    // several threads at once without allocating on every call (every
+    // SPICE step of every source).
     return [tape = expr::FusedTape::compile({expr::fold(body)})](double t) {
-        std::vector<double> regs(static_cast<std::size_t>(tape.numRegs()));
+        thread_local std::vector<double> regs;
+        const auto need = static_cast<std::size_t>(tape.numRegs());
+        if (regs.size() < need)
+            regs.resize(need);
         double value;
         tape.evalInto(nullptr, t, &value, regs.data());
         return value;

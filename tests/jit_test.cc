@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <numbers>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,6 +115,31 @@ expectKernelMatchesTape(const LaneTape &tape, support::Rng &rng, double t)
         EXPECT_EQ(actual[i], expected[i]) << "slot " << i;
 }
 
+/**
+ * Pins ARK_JIT_CACHE_DIR for the lifetime of one test and puts the
+ * value the process had back afterwards (unset stays unset), so the
+ * kernels later tests compile go where the run pointed them.
+ */
+class JitCacheDirGuard
+{
+  public:
+    JitCacheDirGuard()
+    {
+        if (const char *value = std::getenv("ARK_JIT_CACHE_DIR"))
+            saved_ = value;
+    }
+    ~JitCacheDirGuard()
+    {
+        if (saved_)
+            setenv("ARK_JIT_CACHE_DIR", saved_->c_str(), 1);
+        else
+            unsetenv("ARK_JIT_CACHE_DIR");
+    }
+
+  private:
+    std::optional<std::string> saved_;
+};
+
 /** Base fixture: skip without a toolchain, keep the disk cache out of
  *  the picture unless a test opts back in, disarm any faults. */
 class JitTest : public ::testing::Test
@@ -128,11 +154,10 @@ class JitTest : public ::testing::Test
         setenv("ARK_JIT_CACHE_DIR", "", 1);
     }
 
-    void TearDown() override
-    {
-        unsetenv("ARK_JIT_CACHE_DIR");
-        support::FaultInjector::disarmAll();
-    }
+    void TearDown() override { support::FaultInjector::disarmAll(); }
+
+  private:
+    JitCacheDirGuard cacheDir_;
 };
 
 TEST(JitEmitterTest, EmitsDeterministicKernelSource)
@@ -224,9 +249,10 @@ class JitEquivalence : public ::testing::TestWithParam<int>
             GTEST_SKIP() << "no host C toolchain";
         setenv("ARK_JIT_CACHE_DIR", "", 1);
     }
-    void TearDown() override { unsetenv("ARK_JIT_CACHE_DIR"); }
-
     static lang::LanguageRegistry *registry_;
+
+  private:
+    JitCacheDirGuard cacheDir_;
 };
 
 lang::LanguageRegistry *JitEquivalence::registry_ = nullptr;
