@@ -92,6 +92,14 @@ class ProgressTicker
     std::size_t completed_ = 0;
 };
 
+void
+rethrowFirst(std::vector<std::exception_ptr> &errors)
+{
+    for (std::exception_ptr &error : errors)
+        if (error)
+            std::rethrow_exception(error);
+}
+
 /**
  * Groups assembled systems by shared structure. leaderOf[i] is the
  * group leader's index (or systems.size() for null slots); `leaders`
@@ -119,32 +127,6 @@ groupByStructure(
             leaders.push_back(i);
             leaderOf[i] = i;
         }
-    }
-}
-
-void
-recordGroups(std::size_t count, const std::vector<std::size_t> &leaderOf,
-             const std::vector<std::size_t> &leaders)
-{
-    if (!telemetry::metricsEnabled())
-        return;
-    static telemetry::Counter &sweeps =
-        telemetry::Registry::shared().counter("ark.spice.sweeps");
-    static telemetry::Counter &sweepInstances =
-        telemetry::Registry::shared().counter("ark.spice.sweep_instances");
-    static telemetry::Counter &groups =
-        telemetry::Registry::shared().counter("ark.spice.groups");
-    static telemetry::Histogram &groupSize =
-        telemetry::Registry::shared().histogram("ark.spice.group_size");
-    sweeps.add();
-    sweepInstances.add(count);
-    groups.add(leaders.size());
-    for (std::size_t leader : leaders) {
-        std::uint64_t members = 0;
-        for (std::size_t i = 0; i < count; ++i)
-            if (leaderOf[i] == leader)
-                ++members;
-        groupSize.record(members);
     }
 }
 
@@ -232,11 +214,6 @@ detail::runSweep(const std::vector<const Netlist *> &netlists, double t0,
         }
         progress.tick();
     };
-    auto rethrowFirst = [&] {
-        for (std::exception_ptr &error : errors)
-            if (error)
-                std::rethrow_exception(error);
-    };
     const std::uint64_t ledgerRun =
         options.ledger != nullptr
             ? options.ledger->beginRun(
@@ -259,7 +236,7 @@ detail::runSweep(const std::vector<const Netlist *> &netlists, double t0,
                     options.ledger->append(sweepRecord(
                         results[i], ledgerRun, i,
                         telemetry::RunLedger::Tier::Dense));
-        rethrowFirst();
+        rethrowFirst(errors);
         return results;
     }
 
@@ -279,7 +256,28 @@ detail::runSweep(const std::vector<const Netlist *> &netlists, double t0,
     groupByStructure(systems, leaderOf, leaders);
     if (stats)
         stats->structureGroups = leaders.size();
-    recordGroups(count, leaderOf, leaders);
+    if (telemetry::metricsEnabled()) {
+        static telemetry::Counter &sweeps =
+            telemetry::Registry::shared().counter("ark.spice.sweeps");
+        static telemetry::Counter &sweepInstances =
+            telemetry::Registry::shared().counter(
+                "ark.spice.sweep_instances");
+        static telemetry::Counter &groups =
+            telemetry::Registry::shared().counter("ark.spice.groups");
+        static telemetry::Histogram &groupSize =
+            telemetry::Registry::shared().histogram(
+                "ark.spice.group_size");
+        sweeps.add();
+        sweepInstances.add(count);
+        groups.add(leaders.size());
+        for (std::size_t leader : leaders) {
+            std::uint64_t members = 0;
+            for (std::size_t i = 0; i < count; ++i)
+                if (leaderOf[i] == leader)
+                    ++members;
+            groupSize.record(members);
+        }
+    }
     telemetry::ScopedSpan sweepSpan("ark.spice.sweep", count);
 
     // Phase 3: each group leader's companion matrix is factored
@@ -373,7 +371,7 @@ detail::runSweep(const std::vector<const Netlist *> &netlists, double t0,
             options.ledger->append(std::move(record));
         }
     }
-    rethrowFirst();
+    rethrowFirst(errors);
     return results;
 }
 
