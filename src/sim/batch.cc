@@ -400,21 +400,12 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
     // Per-job JIT provenance for the ledger flush below: a job is
     // "jit" only when a kernel actually ran (not merely requested).
     std::vector<char> jitUsed(jobs.size(), 0);
-    std::mutex progressMutex;
-    std::size_t completed = 0;
-
     // Per-instance progress: both block drivers report each instance
     // the moment it completes (finish, divergence retirement, or
-    // cancellation), so `completed` ticks consistently at every block
-    // width and stays strictly increasing under lane retirement.
-    auto instanceDone = [&](std::size_t done) {
-        watchdogRun.heartbeat();
-        if (done == 0 || !options.progress)
-            return;
-        std::lock_guard lock(progressMutex);
-        completed += done;
-        options.progress(completed, count);
-    };
+    // cancellation), so the completed count ticks consistently at
+    // every block width and stays strictly increasing under lane
+    // retirement.
+    detail::ProgressTicker progress(options.progress, count, watchdogRun);
 
     auto runJob = [&](std::size_t jobIndex) {
         const std::vector<std::size_t> &members = jobs[jobIndex];
@@ -422,7 +413,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         std::function<void(std::size_t)> laneDone =
             [&](std::size_t done) {
                 reported += done;
-                instanceDone(done);
+                progress.tick(done);
             };
         try {
             if (support::FaultInjector::shouldFire(
@@ -479,7 +470,7 @@ BatchRunner::runImpl(const compiler::OdeSystem *homogeneous,
         // A thrown block (step collapse, budget) still accounts for
         // every member so `completed` reaches `total` exactly once.
         if (reported < members.size())
-            instanceDone(members.size() - reported);
+            progress.tick(members.size() - reported);
     };
 
     unsigned requested = options.numThreads;

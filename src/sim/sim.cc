@@ -926,6 +926,17 @@ detail::deadlinePassed(const Deadline &deadline)
     return deadline && std::chrono::steady_clock::now() >= *deadline;
 }
 
+void
+detail::ProgressTicker::tick(std::size_t n)
+{
+    watchdog_.heartbeat();
+    if (n == 0 || !callback_)
+        return;
+    std::lock_guard lock(mutex_);
+    completed_ += n;
+    callback_(completed_, total_);
+}
+
 std::vector<SimResult>
 detail::integrateBlock(
     const std::vector<const expr::FusedTape *> &tapes,

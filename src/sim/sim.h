@@ -60,6 +60,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <stop_token>
@@ -67,6 +68,7 @@
 #include <vector>
 
 #include "compiler/odesystem.h"
+#include "support/watchdog.h"
 
 namespace ark::telemetry {
 class RunLedger;
@@ -471,6 +473,34 @@ SimFailure faultFailure(double t, const std::string &what);
  */
 bool deadlinePassed(
     const std::optional<std::chrono::steady_clock::time_point> &deadline);
+
+/**
+ * Serialized (completed, total) progress dispatcher — the one behind
+ * the ensemble runner and the SPICE sweep. tick(n) reports n more
+ * instances finished: it heartbeats the run's stall watchdog, then,
+ * when n > 0 and a callback is set, adds n under the lock and calls
+ * the callback. A default-constructed callback makes a tick one
+ * heartbeat.
+ */
+class ProgressTicker
+{
+  public:
+    ProgressTicker(
+        const std::function<void(std::size_t, std::size_t)> &callback,
+        std::size_t total, telemetry::StallWatchdog::Run &watchdog)
+        : callback_(callback), total_(total), watchdog_(watchdog)
+    {
+    }
+
+    void tick(std::size_t n = 1);
+
+  private:
+    const std::function<void(std::size_t, std::size_t)> &callback_;
+    std::size_t total_;
+    telemetry::StallWatchdog::Run &watchdog_;
+    std::mutex mutex_;
+    std::size_t completed_ = 0;
+};
 
 } // namespace detail
 

@@ -59,39 +59,6 @@ using detail::errorFailure;
 using detail::StepperLookup;
 using detail::StepperPtr;
 
-/**
- * Serialized (completed, total) progress dispatcher; a
- * default-constructed callback makes every tick free.
- */
-class ProgressTicker
-{
-  public:
-    ProgressTicker(
-        const std::function<void(std::size_t, std::size_t)> &callback,
-        std::size_t total, telemetry::StallWatchdog::Run *watchdog)
-        : callback_(callback), total_(total), watchdog_(watchdog)
-    {
-    }
-
-    void
-    tick()
-    {
-        if (watchdog_ != nullptr)
-            watchdog_->heartbeat();
-        if (!callback_)
-            return;
-        std::lock_guard lock(mutex_);
-        callback_(++completed_, total_);
-    }
-
-  private:
-    const std::function<void(std::size_t, std::size_t)> &callback_;
-    std::size_t total_;
-    telemetry::StallWatchdog::Run *watchdog_;
-    std::mutex mutex_;
-    std::size_t completed_ = 0;
-};
-
 void
 rethrowFirst(std::vector<std::exception_ptr> &errors)
 {
@@ -188,7 +155,8 @@ detail::runSweep(const std::vector<const Netlist *> &netlists, double t0,
 
     std::vector<std::exception_ptr> errors(count);
     telemetry::StallWatchdog::Run watchdogRun("spice_sweep", count);
-    ProgressTicker progress(options.progress, count, &watchdogRun);
+    sim::detail::ProgressTicker progress(options.progress, count,
+                                         watchdogRun);
     const TransientControl control{options.stop, options.deadline};
     // Per-instance prelude shared by both solve paths: a slot that
     // already failed (assembly), a requested stop, or a passed

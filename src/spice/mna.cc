@@ -30,6 +30,10 @@ assembleStamps(const Netlist &netlist)
         }
     }
     stamps.size = stamps.numNodes + branches;
+    // Nothing to solve: reject the netlist like any other malformed
+    // one (a SemaError, so sweeps report BadInput).
+    if (stamps.size == 0)
+        throw SemaError("netlist has no unknowns (no nodes or branches)");
 
     // Stamp helpers; ground contributions are dropped. Triplets are
     // kept even for zero values (e.g. a gm of 0) so the assembled

@@ -251,6 +251,50 @@ escapeJson(const std::string &s)
     return out;
 }
 
+// Prometheus metric names allow [a-zA-Z0-9_:]; the registry's dotted
+// scheme maps onto it by swapping every other character for '_'.
+std::string
+promName(const std::string &name)
+{
+    std::string out = name;
+    for (char &c : out) {
+        const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                        (c >= '0' && c <= '9') || c == '_' || c == ':';
+        if (!ok)
+            c = '_';
+    }
+    if (!out.empty() && out[0] >= '0' && out[0] <= '9')
+        out.insert(out.begin(), '_');
+    return out;
+}
+
+/** Prometheus sample value: integral values print as plain integers,
+ *  the rest with %.17g. */
+std::string
+formatValue(double v)
+{
+    if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 1e15) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.0f", v);
+        return buf;
+    }
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+// Upper bound of power-of-two bucket b: bucket 0 holds {0}, bucket b
+// holds [2^(b-1), 2^b - 1].
+std::uint64_t
+bucketUpperBound(std::size_t b)
+{
+    if (b == 0)
+        return 0;
+    if (b >= 64)
+        return ~0ull;
+    return (1ull << b) - 1;
+}
+
 } // namespace
 
 double
@@ -362,6 +406,39 @@ MetricsSnapshot::json() const
     }
     oss << "}";
     return oss.str();
+}
+
+std::string
+MetricsSnapshot::prometheus() const
+{
+    std::ostringstream out;
+    for (const auto &entry : entries) {
+        const std::string name = promName(entry.name);
+        switch (entry.kind) {
+        case Kind::Counter:
+            out << "# TYPE " << name << " counter\n"
+                << name << " " << formatValue(entry.value) << "\n";
+            break;
+        case Kind::Gauge:
+            out << "# TYPE " << name << " gauge\n"
+                << name << " " << formatValue(entry.value) << "\n";
+            break;
+        case Kind::Histogram: {
+            out << "# TYPE " << name << " histogram\n";
+            std::uint64_t cumulative = 0;
+            for (std::size_t b = 0; b < entry.buckets.size(); ++b) {
+                cumulative += entry.buckets[b];
+                out << name << "_bucket{le=\"" << bucketUpperBound(b)
+                    << "\"} " << cumulative << "\n";
+            }
+            out << name << "_bucket{le=\"+Inf\"} " << entry.count << "\n"
+                << name << "_sum " << entry.sum << "\n"
+                << name << "_count " << entry.count << "\n";
+            break;
+        }
+        }
+    }
+    return out.str();
 }
 
 // --------------------------------------------------------------------

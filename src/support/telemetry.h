@@ -29,11 +29,10 @@
  * Metric names follow the `ark.<area>.<name>` scheme and every
  * instrumentation site costs one relaxed atomic load when collection
  * is off; docs/TELEMETRY.md is the authoritative reference for the
- * naming scheme, the exposition formats served by
- * telemetry::StatsServer, the RunLedger JSON schema, and the full
- * overhead contract. Telemetry never touches numerics: collection on
- * vs. off is bit-identical by construction (regression-tested in
- * telemetry_test).
+ * naming scheme, the snapshot formats (str(), json(), prometheus()),
+ * the RunLedger JSON schema, and the full overhead contract.
+ * Telemetry never touches numerics: collection on vs. off is
+ * bit-identical by construction (regression-tested in telemetry_test).
  */
 
 #include <atomic>
@@ -224,6 +223,15 @@ struct MetricsSnapshot
 
     /** Flat JSON object: name -> number, histograms -> object. */
     std::string json() const;
+
+    /**
+     * Prometheus text exposition (version 0.0.4): dots in metric
+     * names become underscores (ark.cache.system_hits ->
+     * ark_cache_system_hits); histograms export cumulative
+     * `_bucket{le=...}` series on the power-of-two boundaries plus
+     * `_sum` and `_count`.
+     */
+    std::string prometheus() const;
 };
 
 /**

@@ -2,12 +2,13 @@
 // progress and raises a structured health signal.
 //
 // The engines already report progress at instance granularity
-// (sim::BatchRunner's instanceDone plumbing, the SPICE ProgressTicker).
-// The watchdog taps those same flush points: each active run
-// registers a StallWatchdog::Run scope and calls heartbeat() whenever
-// an instance completes. A monitor thread sweeps the registered runs
-// and, when one has gone `stallInterval` without a heartbeat, sets
-// the `ark.health.stalled_runs` gauge, bumps the
+// through one dispatcher, sim::detail::ProgressTicker, shared by the
+// ensemble runner and the SPICE sweep. The watchdog taps that flush
+// point: each active run registers a StallWatchdog::Run scope, and
+// every tick calls heartbeat() as instances complete. A monitor
+// thread sweeps the registered runs and, when one has gone
+// `stallInterval` without a heartbeat, sets the
+// `ark.health.stalled_runs` gauge, bumps the
 // `ark.health.stall_events` counter, and emits one rate-limited log
 // event per stall episode. The flag clears (and a resumption note is
 // logged) as soon as the run beats again; both clear when it ends.

@@ -3,8 +3,8 @@
  * Tests for the batched SPICE transient engine: sparse-vs-dense
  * equivalence on random generated TLN netlists (the tentpole property
  * test), shared-structure factorization reuse, per-instance
- * structured failures (singular matrix, nonfinite state), batch-level
- * input validation, and thread-count invariance.
+ * structured failures (singular matrix, nonfinite state, empty
+ * netlist), batch-level input validation, and thread-count invariance.
  */
 
 #include <gtest/gtest.h>
@@ -288,6 +288,39 @@ TEST_F(SpiceBatchTest, SingularInstanceFailsAloneStructurally)
     EXPECT_TRUE(dense[0].ok());
     ASSERT_FALSE(dense[1].ok());
     EXPECT_EQ(dense[1].failure->reason, TransientAbort::SingularMatrix);
+}
+
+TEST_F(SpiceBatchTest, EmptyNetlistFailsAloneAsBadInput)
+{
+    // A netlist with no unknowns has nothing to assemble: both engines
+    // reject it as bad input, count no structure group for it, and
+    // leave the rest of the sweep untouched.
+    Netlist empty;
+    Netlist rc;
+    int n = rc.addNode("n");
+    rc.currentSource("I", kGround, n, 1e-3);
+    rc.resistor("R", n, kGround, 1e3);
+    rc.capacitor("C", n, kGround, 1e-9);
+    std::vector<const Netlist *> netlists{&empty, &rc};
+    std::vector<const Netlist *> solo{&rc};
+    EXPECT_EQ(countStructureGroups(netlists), 1u);
+
+    for (bool sparse : {true, false}) {
+        SCOPED_TRACE(sparse ? "sparse" : "dense");
+        TransientBatchOptions options;
+        options.sparse = sparse;
+        std::vector<TransientResult> results =
+            TransientBatch(options).run(netlists, 0.0, 1e-7, 1e-9);
+        ASSERT_EQ(results.size(), 2u);
+        ASSERT_FALSE(results[0].ok());
+        EXPECT_EQ(results[0].failure->reason, TransientAbort::BadInput);
+        EXPECT_FALSE(results[0].failure->message.empty());
+        ASSERT_TRUE(results[1].ok());
+        std::vector<TransientResult> alone =
+            TransientBatch(options).run(solo, 0.0, 1e-7, 1e-9);
+        ASSERT_TRUE(alone[0].ok());
+        expectBitIdentical(results[1], alone[0]);
+    }
 }
 
 TEST_F(SpiceBatchTest, UnstableInstanceReportsNonfiniteState)

@@ -2,7 +2,8 @@
  * @file
  * Tests for the telemetry subsystem: counter/histogram correctness
  * under concurrent writers, span nesting and thread attribution,
- * Chrome-trace JSON validity, the non-interference contract
+ * Chrome-trace JSON validity, the Prometheus text exposition (also
+ * rendered while an ensemble runs), the non-interference contract
  * (collection on vs. off is bit-identical), and the timestamped
  * log-sink path.
  */
@@ -23,7 +24,6 @@
 #include "sim/sim.h"
 #include "support/ledger.h"
 #include "support/logging.h"
-#include "support/statsserver.h"
 #include "support/telemetry.h"
 #include "support/watchdog.h"
 
@@ -293,6 +293,68 @@ TEST(TelemetryTest, MetricsSnapshotLookupAndNaming)
     EXPECT_NE(snap.str().find("ark.test.lookup"), std::string::npos);
 }
 
+/** True when `text` holds `line` as one whole line. */
+bool
+hasLine(const std::string &text, const std::string &line)
+{
+    std::istringstream in(text);
+    for (std::string got; std::getline(in, got);)
+        if (got == line)
+            return true;
+    return false;
+}
+
+TEST(TelemetryTest, PrometheusExpositionFormat)
+{
+    TelemetryGuard guard;
+    telemetry::setMetricsEnabled(true);
+    // The health family registers with the watchdog singleton.
+    telemetry::StallWatchdog::shared();
+    Registry::shared().counter("ark.test.ss_counter").add(7);
+    Registry::shared().gauge("ark.test.ss_gauge").set(2.5);
+    telemetry::Histogram &hist =
+        Registry::shared().histogram("ark.test.ss_hist");
+    for (std::uint64_t v : {0, 1, 3, 100})
+        hist.record(v);
+
+    const std::string text = Registry::shared().snapshot().prometheus();
+    // Dots become underscores.
+    for (const char *line : {
+             "# TYPE ark_test_ss_counter counter",
+             "ark_test_ss_counter 7",
+             "# TYPE ark_test_ss_gauge gauge",
+             "ark_test_ss_gauge 2.5",
+             // Cumulative buckets on the power-of-two bounds; +Inf
+             // equals _count.
+             "# TYPE ark_test_ss_hist histogram",
+             "ark_test_ss_hist_bucket{le=\"0\"} 1",
+             "ark_test_ss_hist_bucket{le=\"1\"} 2",
+             "ark_test_ss_hist_bucket{le=\"3\"} 3",
+             "ark_test_ss_hist_bucket{le=\"7\"} 3",
+             "ark_test_ss_hist_bucket{le=\"15\"} 3",
+             "ark_test_ss_hist_bucket{le=\"31\"} 3",
+             "ark_test_ss_hist_bucket{le=\"63\"} 3",
+             "ark_test_ss_hist_bucket{le=\"127\"} 4",
+             "ark_test_ss_hist_bucket{le=\"+Inf\"} 4",
+             "ark_test_ss_hist_sum 104",
+             "ark_test_ss_hist_count 4",
+             "# TYPE ark_health_stalled_runs gauge",
+         })
+        EXPECT_TRUE(hasLine(text, line)) << line << "\n" << text;
+    // Trailing empty buckets are trimmed, so 127 is the last bound.
+    EXPECT_EQ(text.find("ark_test_ss_hist_bucket{le=\"255\"}"),
+              std::string::npos);
+
+    // Characters outside [a-zA-Z0-9_:] become '_', and a leading
+    // digit gains a '_' prefix.
+    telemetry::MetricsSnapshot snap;
+    snap.entries.push_back({});
+    snap.entries.back().name = "9lives.cat-count";
+    snap.entries.back().value = 3;
+    EXPECT_EQ(snap.prometheus(),
+              "# TYPE _9lives_cat_count counter\n_9lives_cat_count 3\n");
+}
+
 /** dx/dt = -k x through the full pipeline (ensemble_test's system). */
 compiler::OdeSystem
 decaySystem(lang::LanguageRegistry &registry, double k, double x0)
@@ -336,22 +398,19 @@ TEST(TelemetryTest, EnsembleBitIdenticalOnVsOff)
         sim::simulateEnsemble(pointers, 0.0, 1.0, options);
 
     // The instrumented pass arms the whole telemetry plane: metrics,
-    // tracing, the flight recorder, a live stats server, and the
-    // stall watchdog. All of it is observation-only by contract.
+    // tracing, the flight recorder, and the stall watchdog. All of it
+    // is observation-only by contract.
     telemetry::setMetricsEnabled(true);
     telemetry::setTracingEnabled(true);
     telemetry::RunLedger ledger;
     sim::EnsembleOptions instrumentedOptions = options;
     instrumentedOptions.ledger = &ledger;
-    telemetry::StatsServer server;
-    ASSERT_TRUE(server.start(0));
     telemetry::StallWatchdog::shared().setStallInterval(
         std::chrono::minutes(1));
     std::vector<sim::SimResult> instrumented =
         sim::simulateEnsemble(pointers, 0.0, 1.0, instrumentedOptions);
     telemetry::StallWatchdog::shared().setStallInterval(
         std::chrono::milliseconds(0));
-    server.stop();
     telemetry::setMetricsEnabled(false);
     telemetry::setTracingEnabled(false);
     EXPECT_EQ(ledger.size(), pointers.size());
@@ -374,6 +433,37 @@ TEST(TelemetryTest, EnsembleBitIdenticalOnVsOff)
                     << "instance " << i << " sample " << s;
         }
     }
+}
+
+TEST(TelemetryTest, ConcurrentPrometheusDuringActiveEnsemble)
+{
+    TelemetryGuard guard;
+    telemetry::setMetricsEnabled(true);
+    lang::LanguageRegistry registry;
+    std::vector<compiler::OdeSystem> systems;
+    for (int i = 0; i < 6; ++i)
+        systems.push_back(decaySystem(registry, 1.0 + i, 2.0 + i));
+    std::vector<const compiler::OdeSystem *> pointers;
+    for (const compiler::OdeSystem &system : systems)
+        pointers.push_back(&system);
+    sim::EnsembleOptions options;
+    options.sim.dt = 1e-4;
+
+    // Render while ensembles run: every exposition must be
+    // well-formed, and the sim family must be present once the
+    // ensembles have executed with metrics on.
+    std::thread worker([&] {
+        for (int pass = 0; pass < 5; ++pass)
+            sim::simulateEnsemble(pointers, 0.0, 1.0, options);
+    });
+    std::vector<std::string> texts;
+    for (int render = 0; render < 8; ++render)
+        texts.push_back(Registry::shared().snapshot().prometheus());
+    worker.join();
+    for (const std::string &text : texts)
+        EXPECT_NE(text.find("# TYPE"), std::string::npos);
+    EXPECT_NE(Registry::shared().snapshot().prometheus().find("ark_sim_"),
+              std::string::npos);
 }
 
 TEST(TelemetryTest, LogSinkCapturesTimestampedLines)

@@ -26,11 +26,9 @@
  * reassociated tape variants.
  * `--metrics` prints the engine telemetry registry to stderr,
  * `--trace out.json` records the command as Chrome trace-event JSON
- * (load it in chrome://tracing or Perfetto), `--ledger out.json`
- * writes the run's per-instance flight-recorder records, and
- * `--stats-port N` serves live Prometheus/JSON metrics on
- * 127.0.0.1:N for the duration of the command (0 = ephemeral port,
- * printed to stderr). See docs/TELEMETRY.md.
+ * (load it in chrome://tracing or Perfetto), and `--ledger out.json`
+ * writes the run's per-instance flight-recorder records. See
+ * docs/TELEMETRY.md.
  */
 
 #include <fstream>
@@ -53,7 +51,6 @@
 #include "sim/sim.h"
 #include "support/error.h"
 #include "support/ledger.h"
-#include "support/statsserver.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/telemetry.h"
@@ -82,9 +79,7 @@ usage()
         "rewrite deltas, FMA contraction share) to stderr.\n"
         "--metrics prints engine telemetry counters to stderr;\n"
         "--trace FILE writes a Chrome trace (chrome://tracing);\n"
-        "--ledger FILE writes the run's flight-recorder JSON;\n"
-        "--stats-port N serves /metrics + /stats.json on\n"
-        "127.0.0.1:N while the command runs (0 = ephemeral).\n";
+        "--ledger FILE writes the run's flight-recorder JSON.\n";
     return 2;
 }
 
@@ -138,7 +133,6 @@ struct RunOptions
     bool metrics = false;
     std::string tracePath;  ///< Empty = no trace recording.
     std::string ledgerPath; ///< Empty = no flight recorder.
-    int statsPort = -1;     ///< -1 = no stats server; 0 = ephemeral.
 };
 
 RunOptions
@@ -178,8 +172,6 @@ parseRunArgs(int argc, char **argv, int first)
             options.tracePath = next();
         } else if (arg == "--ledger") {
             options.ledgerPath = next();
-        } else if (arg == "--stats-port") {
-            options.statsPort = std::stoi(next());
         } else {
             options.args.push_back(parseArgValue(arg));
         }
@@ -238,33 +230,20 @@ buildGraph(lang::LanguageRegistry &registry, const RunOptions &options,
 
 /**
  * Arms telemetry per the CLI flags for the duration of a command:
- * --metrics turns on metric collection, --trace records spans and
- * writes the Chrome trace file when the scope ends, and
- * --stats-port starts the live exporter (which needs collection on
- * to have anything to serve). The server's destructor joins its
- * thread before main returns.
+ * --metrics turns on metric collection, and --trace records spans
+ * and writes the Chrome trace file when the scope ends.
  */
 struct TelemetryScope
 {
     explicit TelemetryScope(const RunOptions &options)
     {
-        if (options.metrics || options.statsPort >= 0)
+        if (options.metrics)
             telemetry::setMetricsEnabled(true);
         if (!options.tracePath.empty())
             trace.emplace(options.tracePath);
-        if (options.statsPort >= 0) {
-            std::string error;
-            if (!server.start(
-                    static_cast<std::uint16_t>(options.statsPort),
-                    &error))
-                throw support::IoError("stats server: " + error);
-            std::cerr << "arkc: stats listening on 127.0.0.1:"
-                      << server.port() << "\n";
-        }
     }
 
     std::optional<telemetry::TraceSession> trace;
-    telemetry::StatsServer server;
 };
 
 /**
